@@ -92,15 +92,6 @@ pub fn rustc_available() -> bool {
         .unwrap_or(false)
 }
 
-/// One run's worth of stimulus for a compiled simulator.
-///
-/// Deprecated alias: the typed stimulus value now lives in `gsim_sim`
-/// as [`Scenario`] — one representation shared by the interpreter
-/// engines, the AoT driver, the wire protocol, and the bench harness.
-/// The fields and the `render()` text format are identical.
-#[deprecated(since = "0.9.0", note = "use `gsim_sim::Scenario`")]
-pub type Stimulus = Scenario;
-
 /// The parsed report of one compiled-simulator run.
 #[derive(Debug, Clone, Default)]
 pub struct AotRun {
@@ -422,21 +413,6 @@ fn parse_report(stdout: &str) -> Result<AotRun, AotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scenario_renders_what_the_emitted_parser_accepts() {
-        let s = Scenario::new()
-            .load("imem", vec![0x13, 0xff])
-            .frame(&[("rst", 1)])
-            .hold(1)
-            .frame(&[("rst", 0)]);
-        let text = s.render();
-        assert_eq!(text, "!load imem 13 ff\nrst=1\n\nrst=0\n");
-        let parsed = crate::rt::parse_stimulus(&text).unwrap();
-        assert_eq!(parsed.loads.len(), 1);
-        assert_eq!(parsed.frames.len(), 3);
-        assert!(parsed.frames[1].is_empty());
-    }
 
     #[test]
     fn report_parsing_roundtrip() {

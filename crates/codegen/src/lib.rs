@@ -37,16 +37,16 @@ pub mod cache;
 pub mod layout;
 // The runtime's real consumer is the *emitted* program (embedded via
 // `include_str!` by `rust.rs`); inside this crate it is only exercised
-// by the `rt_semantics` tests, so non-test builds see it as dead.
+// by the `rt_semantics` tests, so non-test builds see it as dead. It
+// reaches the word kernels as `super::words`, here and there.
 #[cfg_attr(not(test), allow(dead_code))]
 mod rt;
+use gsim_value::words;
 #[cfg(test)]
 mod rt_semantics;
 pub mod rust;
 pub mod session;
 
-#[allow(deprecated)] // kept so downstream `Stimulus` users get the rename hint
-pub use build::Stimulus;
 pub use build::{compile as compile_aot, AotError, AotOptions, AotRun, AotSim};
 pub use build::{rustc_available, rustc_path};
 pub use cache::{ArtifactCache, ArtifactKey, CacheStats};

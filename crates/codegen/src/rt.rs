@@ -1,21 +1,36 @@
-// AoT simulator runtime: allocation-light kernels over little-endian
-// `u64` word slices plus `u128` fast-path helpers.
+// AoT simulator runtime: what the emitted program needs and no other
+// workspace file provides.
 //
 // This file is compiled twice:
 //
 // 1. as a private module of `gsim_codegen`, where its semantics are
 //    pinned against `gsim_value::ops` by the `rt_semantics` tests, and
 // 2. verbatim (via `include_str!`) as `mod rt` inside every Rust
-//    simulator the AoT backend emits, so the generated program is fully
-//    standalone — it must therefore depend on nothing but `std`.
+//    simulator the AoT backend emits.
+//
+// The emitted program is standalone — it depends on nothing but `std` —
+// so everything else it needs is embedded from the workspace file that
+// owns it, next to this module (see `rust.rs::embed`):
+//
+// * `crates/value/src/words.rs` as `mod words` — the word kernels the
+//   interpreter engines run on; the wide ops below are built from them,
+// * `crates/sim/src/wire.rs` as `mod wire` — the protocol grammar the
+//   `--serve` loop dispatches on, and hex parsing,
+// * `crates/sim/src/scenario_text.rs` as `mod scenario_text` — the
+//   `--stimulus` reader,
+// * `crates/wave/src/vcd_writer.rs` as `mod vcd_writer` — `--vcd`.
+//
+// What stays here has no twin in the workspace: the `u128` fast-path
+// tier (the interpreter has no such tier), the FIRRTL op semantics over
+// explicit-width word slices (`gsim_value::ops` implements them over
+// the allocating `Value`; the `rt_semantics` proptests hold the two
+// equal — that is the reference comparison, not a duplicate), hex
+// rendering of word slices, and the state-blob codec.
 //
 // All slice values are *canonical*: little-endian words with every bit
-// at position `>= width` zero. Each op mirrors the corresponding
-// function in `crates/value/src/ops.rs` bit for bit; the emitted
-// simulator stays bit-identical to the reference interpreter because
-// it computes through these kernels (or through the `u128` fast path,
-// whose equivalence the same tests pin).
+// at position `>= width` zero.
 
+use super::words;
 use std::cmp::Ordering;
 
 /// Scratch capacity in words; bounds the widest supported signal
@@ -66,74 +81,17 @@ pub fn sat64_128(x: u128) -> u64 {
     }
 }
 
-// ------------------------------------------------------- word kernels
-
-/// Canonicalizes: zeroes bits at positions `>= width`.
-pub fn mask(w: &mut [u64], width: u32) {
-    let full = (width / 64) as usize;
-    let rem = width % 64;
-    if rem != 0 {
-        w[full] &= (1u64 << rem) - 1;
-        for word in &mut w[full + 1..] {
-            *word = 0;
-        }
-    } else {
-        for word in &mut w[full..] {
-            *word = 0;
-        }
-    }
-}
-
-/// `true` if every word is zero.
-pub fn is_zero(w: &[u64]) -> bool {
-    w.iter().all(|&x| x == 0)
-}
-
-/// Bit `i`, reading beyond the slice as zero.
-pub fn get_bit(w: &[u64], i: u32) -> bool {
-    let word = (i / 64) as usize;
-    if word >= w.len() {
-        return false;
-    }
-    (w[word] >> (i % 64)) & 1 == 1
-}
-
-fn set_bit(w: &mut [u64], i: u32, v: bool) {
-    let word = (i / 64) as usize;
-    let m = 1u64 << (i % 64);
-    if v {
-        w[word] |= m;
-    } else {
-        w[word] &= !m;
-    }
-}
-
-/// Copies `src` into `dst`, zero-extending or truncating.
-pub fn copy(dst: &mut [u64], src: &[u64]) {
-    let n = dst.len().min(src.len());
-    dst[..n].copy_from_slice(&src[..n]);
-    for w in &mut dst[n..] {
-        *w = 0;
-    }
-}
+// ------------------------------------------------------- word helpers
 
 /// Extends `src` (canonical at `src_w`) into `dst`, sign- or
 /// zero-extending per `signed`, canonical at `dst_w`.
 pub fn ext(dst: &mut [u64], src: &[u64], src_w: u32, dst_w: u32, signed: bool) {
-    copy(dst, src);
-    if signed && src_w > 0 && src_w < dst_w && get_bit(src, src_w - 1) {
-        let lo_word = (src_w / 64) as usize;
-        let lo_rem = src_w % 64;
-        if lo_rem != 0 {
-            dst[lo_word] |= !((1u64 << lo_rem) - 1);
-        } else if lo_word < dst.len() {
-            dst[lo_word] = u64::MAX;
-        }
-        for w in dst.iter_mut().skip(lo_word + 1) {
-            *w = u64::MAX;
-        }
+    if signed {
+        words::sext_copy(dst, src, src_w, dst_w);
+    } else {
+        words::copy(dst, src);
+        words::mask_in_place(dst, dst_w);
     }
-    mask(dst, dst_w);
 }
 
 /// Stores a canonical `u128` into a (long enough) word slice.
@@ -164,244 +122,60 @@ pub fn sat64(a: &[u64]) -> u64 {
     }
 }
 
-fn add_words(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    let mut carry = 0u64;
-    for i in 0..dst.len() {
-        let (s1, c1) = a[i].overflowing_add(b[i]);
-        let (s2, c2) = s1.overflowing_add(carry);
-        dst[i] = s2;
-        carry = (c1 as u64) + (c2 as u64);
-    }
-}
-
-fn sub_words(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for i in 0..dst.len() {
-        let (d1, b1) = a[i].overflowing_sub(b[i]);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        dst[i] = d2;
-        borrow = (b1 as u64) + (b2 as u64);
-    }
-}
-
-fn mul_words(dst: &mut [u64], a: &[u64], b: &[u64]) {
-    dst.fill(0);
-    let n = dst.len();
-    for i in 0..n {
-        if a[i] == 0 {
-            continue;
-        }
-        let mut carry = 0u128;
-        for j in 0..n - i {
-            let t = a[i] as u128 * b[j] as u128 + dst[i + j] as u128 + carry;
-            dst[i + j] = t as u64;
-            carry = t >> 64;
-        }
-    }
-}
-
-fn neg_words(dst: &mut [u64], a: &[u64]) {
-    let mut carry = 1u64;
-    for i in 0..dst.len() {
-        let (v, c) = (!a[i]).overflowing_add(carry);
-        dst[i] = v;
-        carry = c as u64;
-    }
-}
-
-fn ucmp(a: &[u64], b: &[u64]) -> Ordering {
-    for i in (0..a.len()).rev() {
-        match a[i].cmp(&b[i]) {
-            Ordering::Equal => continue,
-            ord => return ord,
-        }
-    }
-    Ordering::Equal
-}
-
-fn scmp_extended(a: &[u64], b: &[u64]) -> Ordering {
-    if a.is_empty() {
-        return Ordering::Equal;
-    }
-    let top = a.len() - 1;
-    let sa = (a[top] as i64) < 0;
-    let sb = (b[top] as i64) < 0;
-    match (sa, sb) {
-        (true, false) => Ordering::Less,
-        (false, true) => Ordering::Greater,
-        _ => ucmp(a, b),
-    }
-}
-
-fn top_bit(a: &[u64]) -> Option<u32> {
-    for i in (0..a.len()).rev() {
-        if a[i] != 0 {
-            return Some(i as u32 * 64 + 63 - a[i].leading_zeros());
-        }
-    }
-    None
-}
-
-fn shl_words(dst: &mut [u64], a: &[u64], sh: u32) {
-    let n = dst.len();
-    let word_sh = (sh / 64) as usize;
-    let bit_sh = sh % 64;
-    if word_sh >= n {
-        dst.fill(0);
-        return;
-    }
-    if bit_sh == 0 {
-        for i in (word_sh..n).rev() {
-            dst[i] = a[i - word_sh];
-        }
-    } else {
-        for i in (word_sh..n).rev() {
-            let hi = a[i - word_sh] << bit_sh;
-            let lo = if i - word_sh > 0 {
-                a[i - word_sh - 1] >> (64 - bit_sh)
-            } else {
-                0
-            };
-            dst[i] = hi | lo;
-        }
-    }
-    for w in &mut dst[..word_sh] {
-        *w = 0;
-    }
-}
-
-fn lshr_words(dst: &mut [u64], a: &[u64], sh: u32) {
-    let n = dst.len();
-    let word_sh = (sh / 64) as usize;
-    let bit_sh = sh % 64;
-    if word_sh >= n {
-        dst.fill(0);
-        return;
-    }
-    if bit_sh == 0 {
-        dst[..n - word_sh].copy_from_slice(&a[word_sh..n]);
-    } else {
-        for i in 0..n - word_sh {
-            let lo = a[i + word_sh] >> bit_sh;
-            let hi = if i + word_sh + 1 < n {
-                a[i + word_sh + 1] << (64 - bit_sh)
-            } else {
-                0
-            };
-            dst[i] = lo | hi;
-        }
-    }
-    for w in &mut dst[n - word_sh..] {
-        *w = 0;
-    }
-}
-
-fn ashr_words(dst: &mut [u64], a: &[u64], sh: u32, width: u32) {
-    if width == 0 {
-        dst.fill(0);
-        return;
-    }
-    let negv = get_bit(a, width - 1);
-    let sh = sh.min(width);
-    lshr_words(dst, a, sh);
-    if negv {
-        for i in width - sh..width {
-            set_bit(dst, i, true);
-        }
-    }
-}
-
-fn udivrem(q: &mut [u64], r: &mut [u64], a: &[u64], b: &[u64]) {
-    q.fill(0);
-    if is_zero(b) {
-        copy(r, a);
-        return;
-    }
-    if a.len() == 1 {
-        q[0] = a[0] / b[0];
-        r[0] = a[0] % b[0];
-        return;
-    }
-    if a.len() == 2 || (a[2..].iter().all(|&w| w == 0) && b[2..].iter().all(|&w| w == 0)) {
-        let av = to_u128(a);
-        let bv = to_u128(b);
-        let qv = av / bv;
-        let rv = av % bv;
-        store128(q, qv);
-        store128(r, rv);
-        return;
-    }
-    r.fill(0);
-    let nbits = (a.len() * 64) as u32;
-    let start = top_bit(a).unwrap_or(0).min(nbits - 1);
-    for i in (0..=start).rev() {
-        let mut carry_in = if get_bit(a, i) { 1u64 } else { 0 };
-        for w in r.iter_mut() {
-            let carry_out = *w >> 63;
-            *w = (*w << 1) | carry_in;
-            carry_in = carry_out;
-        }
-        if ucmp(r, b) != Ordering::Less {
-            let mut borrow = 0u64;
-            for j in 0..r.len() {
-                let (d1, b1) = r[j].overflowing_sub(b[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                r[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            set_bit(q, i, true);
-        }
-    }
-}
-
 // -------------------------------------------------------- op semantics
 //
 // Each op takes canonical operands with explicit widths and produces a
 // canonical result at the FIRRTL-mandated width `w` into `out`
 // (`out.len() == words_for(w)`), mirroring `gsim_value::ops`.
 
-/// FIRRTL `add` at `w = max(wa, wb) + 1`.
-pub fn add(out: &mut [u64], w: u32, a: &[u64], wa: u32, b: &[u64], wb: u32, signed: bool) {
+/// Both `(words, width)` operands extended to the result width `w`,
+/// combined by `kernel`, masked to `w`: the shape of
+/// add/sub/mul/and/or/xor.
+fn extended(
+    out: &mut [u64],
+    w: u32,
+    (a, wa): (&[u64], u32),
+    (b, wb): (&[u64], u32),
+    signed: bool,
+    kernel: fn(&mut [u64], &[u64], &[u64]),
+) {
     let mut ea = [0u64; SCRATCH_WORDS];
     let mut eb = [0u64; SCRATCH_WORDS];
     let n = out.len();
     ext(&mut ea[..n], a, wa, w, signed);
     ext(&mut eb[..n], b, wb, w, signed);
-    add_words(out, &ea[..n], &eb[..n]);
-    mask(out, w);
+    kernel(out, &ea[..n], &eb[..n]);
+    words::mask_in_place(out, w);
+}
+
+/// FIRRTL `add` at `w = max(wa, wb) + 1`.
+pub fn add(out: &mut [u64], w: u32, a: &[u64], wa: u32, b: &[u64], wb: u32, signed: bool) {
+    extended(out, w, (a, wa), (b, wb), signed, |o, x, y| {
+        words::add(o, x, y);
+    });
 }
 
 /// FIRRTL `sub` at `w = max(wa, wb) + 1`.
 pub fn sub(out: &mut [u64], w: u32, a: &[u64], wa: u32, b: &[u64], wb: u32, signed: bool) {
-    let mut ea = [0u64; SCRATCH_WORDS];
-    let mut eb = [0u64; SCRATCH_WORDS];
-    let n = out.len();
-    ext(&mut ea[..n], a, wa, w, signed);
-    ext(&mut eb[..n], b, wb, w, signed);
-    sub_words(out, &ea[..n], &eb[..n]);
-    mask(out, w);
+    extended(out, w, (a, wa), (b, wb), signed, |o, x, y| {
+        words::sub(o, x, y);
+    });
 }
 
 /// FIRRTL `mul` at `w = wa + wb`.
 pub fn mul(out: &mut [u64], w: u32, a: &[u64], wa: u32, b: &[u64], wb: u32, signed: bool) {
-    let mut ea = [0u64; SCRATCH_WORDS];
-    let mut eb = [0u64; SCRATCH_WORDS];
-    let n = out.len();
-    ext(&mut ea[..n], a, wa, w, signed);
-    ext(&mut eb[..n], b, wb, w, signed);
-    mul_words(out, &ea[..n], &eb[..n]);
-    mask(out, w);
+    extended(out, w, (a, wa), (b, wb), signed, words::mul);
 }
 
 /// Magnitude of a canonical two's-complement value; returns the sign.
 fn magnitude(dst: &mut [u64], a: &[u64], wa: u32, signed: bool) -> bool {
     let n = words_for(wa);
-    if !signed || wa == 0 || !get_bit(a, wa - 1) {
-        copy(dst, a);
+    if !signed || wa == 0 || !words::get_bit(a, wa - 1) {
+        words::copy(dst, a);
         return false;
     }
-    neg_words(&mut dst[..n], &a[..n]);
-    mask(&mut dst[..n], wa);
+    words::neg(&mut dst[..n], &a[..n]);
+    words::mask_in_place(&mut dst[..n], wa);
     for w in &mut dst[n..] {
         *w = 0;
     }
@@ -417,18 +191,18 @@ pub fn div(out: &mut [u64], w: u32, a: &[u64], wa: u32, b: &[u64], wb: u32, sign
     let neg_b = magnitude(&mut mb[..n], b, wb, signed);
     let mut q = [0u64; SCRATCH_WORDS];
     let mut r = [0u64; SCRATCH_WORDS];
-    udivrem(&mut q[..n], &mut r[..n], &ma[..n], &mb[..n]);
-    mask(&mut q[..n], w.min(n as u32 * 64));
-    copy(out, &q[..n]);
-    mask(out, w);
-    if signed && (neg_a ^ neg_b) && !is_zero(b) {
+    words::udivrem(&mut q[..n], &mut r[..n], &ma[..n], &mb[..n]);
+    words::mask_in_place(&mut q[..n], w.min(n as u32 * 64));
+    words::copy(out, &q[..n]);
+    words::mask_in_place(out, w);
+    if signed && (neg_a ^ neg_b) && !words::is_zero(b) {
         let copy_out: [u64; SCRATCH_WORDS] = {
             let mut t = [0u64; SCRATCH_WORDS];
             t[..out.len()].copy_from_slice(out);
             t
         };
-        neg_words(out, &copy_out[..out.len()]);
-        mask(out, w);
+        words::neg(out, &copy_out[..out.len()]);
+        words::mask_in_place(out, w);
     }
 }
 
@@ -441,13 +215,13 @@ pub fn rem(out: &mut [u64], w: u32, a: &[u64], wa: u32, b: &[u64], wb: u32, sign
     magnitude(&mut mb[..n], b, wb, signed);
     let mut q = [0u64; SCRATCH_WORDS];
     let mut r = [0u64; SCRATCH_WORDS];
-    udivrem(&mut q[..n], &mut r[..n], &ma[..n], &mb[..n]);
-    if signed && neg_a && !is_zero(&r[..n]) {
+    words::udivrem(&mut q[..n], &mut r[..n], &ma[..n], &mb[..n]);
+    if signed && neg_a && !words::is_zero(&r[..n]) {
         let rc = r;
-        neg_words(&mut r[..n], &rc[..n]);
+        words::neg(&mut r[..n], &rc[..n]);
     }
-    copy(out, &r[..n]);
-    mask(out, w);
+    words::copy(out, &r[..n]);
+    words::mask_in_place(out, w);
 }
 
 /// Three-way comparison at `max(wa, wb)` bits (shared by lt/leq/gt/geq/
@@ -461,9 +235,9 @@ pub fn cmp(a: &[u64], wa: u32, b: &[u64], wb: u32, signed: bool) -> Ordering {
     ext(&mut ea[..n], a, wa, full, signed);
     ext(&mut eb[..n], b, wb, full, signed);
     if signed {
-        scmp_extended(&ea[..n], &eb[..n])
+        words::scmp_extended(&ea[..n], &eb[..n])
     } else {
-        ucmp(&ea[..n], &eb[..n])
+        words::ucmp(&ea[..n], &eb[..n])
     }
 }
 
@@ -482,120 +256,30 @@ pub fn bitwise(
     signed: bool,
     which: u8,
 ) {
-    let mut ea = [0u64; SCRATCH_WORDS];
-    let mut eb = [0u64; SCRATCH_WORDS];
-    let n = out.len();
-    ext(&mut ea[..n], a, wa, w, signed);
-    ext(&mut eb[..n], b, wb, w, signed);
-    for i in 0..n {
-        out[i] = match which {
-            0 => ea[i] & eb[i],
-            1 => ea[i] | eb[i],
-            _ => ea[i] ^ eb[i],
-        };
-    }
-    mask(out, w);
-}
-
-/// FIRRTL `not` at width `wa`.
-pub fn not(out: &mut [u64], a: &[u64], wa: u32) {
-    for i in 0..out.len() {
-        out[i] = !a[i];
-    }
-    mask(out, wa);
-}
-
-/// FIRRTL `andr`: 1 iff all `w` bits are set (vacuously true at `w = 0`).
-pub fn andr(a: &[u64], w: u32) -> bool {
-    if w == 0 {
-        return true;
-    }
-    let full = (w / 64) as usize;
-    let rem = w % 64;
-    for &word in &a[..full] {
-        if word != u64::MAX {
-            return false;
-        }
-    }
-    if rem != 0 {
-        let m = (1u64 << rem) - 1;
-        if a[full] & m != m {
-            return false;
-        }
-    }
-    true
-}
-
-/// FIRRTL `orr`.
-pub fn orr(a: &[u64]) -> bool {
-    !is_zero(a)
-}
-
-/// FIRRTL `xorr`.
-pub fn xorr(a: &[u64]) -> bool {
-    let mut acc = 0u64;
-    for &w in a {
-        acc ^= w;
-    }
-    acc.count_ones() % 2 == 1
-}
-
-/// FIRRTL `cat`: `a` high, `b` low (`b` occupies `wb` bits).
-pub fn cat(out: &mut [u64], a: &[u64], b: &[u64], wb: u32) {
-    copy(out, b);
-    let word_sh = (wb / 64) as usize;
-    let bit_sh = wb % 64;
-    for (i, &h) in a.iter().enumerate() {
-        if h == 0 {
-            continue;
-        }
-        let di = i + word_sh;
-        if di < out.len() {
-            out[di] |= h << bit_sh;
-        }
-        if bit_sh != 0 && di + 1 < out.len() {
-            out[di + 1] |= h >> (64 - bit_sh);
-        }
-    }
-}
-
-/// Bit extraction `[lo, lo + w)` (FIRRTL `bits`/`head`/`tail`).
-pub fn extract(out: &mut [u64], a: &[u64], lo: u32, w: u32) {
-    let word_sh = (lo / 64) as usize;
-    let bit_sh = lo % 64;
-    for (i, d) in out.iter_mut().enumerate() {
-        let src_i = i + word_sh;
-        let lo_part = if src_i < a.len() {
-            a[src_i] >> bit_sh
-        } else {
-            0
-        };
-        let hi_part = if bit_sh != 0 && src_i + 1 < a.len() {
-            a[src_i + 1] << (64 - bit_sh)
-        } else {
-            0
-        };
-        *d = lo_part | hi_part;
-    }
-    mask(out, w);
+    let kernel = match which {
+        0 => words::and,
+        1 => words::or,
+        _ => words::xor,
+    };
+    extended(out, w, (a, wa), (b, wb), signed, kernel);
 }
 
 /// FIRRTL `shl` by a constant: `w = wa + sh`.
 pub fn shl(out: &mut [u64], w: u32, a: &[u64], sh: u32) {
     let mut ea = [0u64; SCRATCH_WORDS];
     let n = out.len();
-    copy(&mut ea[..n], a);
-    shl_words(out, &ea[..n], sh);
-    mask(out, w);
+    words::copy(&mut ea[..n], a);
+    words::shl(out, &ea[..n], sh);
+    words::mask_in_place(out, w);
 }
 
 /// FIRRTL `shr` by a constant: `w = max(wa - sh, 1)`, arithmetic for
 /// signed operands.
 pub fn shr(out: &mut [u64], w: u32, a: &[u64], wa: u32, sh: u32, signed: bool) {
     if sh >= wa {
-        if signed && wa > 0 && get_bit(a, wa - 1) {
+        if signed && wa > 0 && words::get_bit(a, wa - 1) {
             out.fill(u64::MAX);
-            mask(out, w);
+            words::mask_in_place(out, w);
         } else {
             out.fill(0);
         }
@@ -604,45 +288,22 @@ pub fn shr(out: &mut [u64], w: u32, a: &[u64], wa: u32, sh: u32, signed: bool) {
     let n = words_for(wa);
     let mut t = [0u64; SCRATCH_WORDS];
     if signed {
-        ashr_words(&mut t[..n], &a[..n], sh, wa);
+        words::ashr(&mut t[..n], &a[..n], sh, wa);
     } else {
-        lshr_words(&mut t[..n], &a[..n], sh);
+        words::lshr(&mut t[..n], &a[..n], sh);
     }
-    copy(out, &t[..n]);
-    mask(out, w);
+    words::copy(out, &t[..n]);
+    words::mask_in_place(out, w);
 }
 
 /// FIRRTL `dshl`: dynamic left shift, `w = wa + 2^wb - 1`.
 pub fn dshl(out: &mut [u64], w: u32, a: &[u64], b: &[u64]) {
-    let sh = sat64(b).min(w as u64) as u32;
-    let mut ea = [0u64; SCRATCH_WORDS];
-    let n = out.len();
-    copy(&mut ea[..n], a);
-    shl_words(out, &ea[..n], sh);
-    mask(out, w);
+    shl(out, w, a, sat64(b).min(w as u64) as u32);
 }
 
 /// FIRRTL `dshr`: dynamic right shift at width `wa`.
 pub fn dshr(out: &mut [u64], a: &[u64], wa: u32, b: &[u64], signed: bool) {
-    let sh = sat64(b).min(wa as u64 + 1) as u32;
-    if sh >= wa {
-        if signed && wa > 0 && get_bit(a, wa - 1) {
-            out.fill(u64::MAX);
-            mask(out, wa);
-        } else {
-            out.fill(0);
-        }
-        return;
-    }
-    let n = words_for(wa);
-    let mut t = [0u64; SCRATCH_WORDS];
-    if signed {
-        ashr_words(&mut t[..n], &a[..n], sh, wa);
-    } else {
-        lshr_words(&mut t[..n], &a[..n], sh);
-    }
-    copy(out, &t[..n]);
-    mask(out, wa);
+    shr(out, wa, a, wa, sat64(b).min(wa as u64 + 1) as u32, signed);
 }
 
 /// FIRRTL `neg` at `w = wa + 1`.
@@ -650,17 +311,16 @@ pub fn neg(out: &mut [u64], w: u32, a: &[u64], wa: u32, signed: bool) {
     let mut ea = [0u64; SCRATCH_WORDS];
     let n = out.len();
     ext(&mut ea[..n], a, wa, w, signed);
-    neg_words(out, &ea[..n]);
-    mask(out, w);
+    words::neg(out, &ea[..n]);
+    words::mask_in_place(out, w);
 }
 
 /// Stores `data` (canonical words, zero-extended) into memory entry
-/// words `[base, base + words)`, masked to the entry width `w`.
-pub fn store_entry(mem: &mut [u64], base: usize, words: usize, data: &[u64], w: u32) {
-    for i in 0..words {
-        mem[base + i] = data.get(i).copied().unwrap_or(0);
-    }
-    mask(&mut mem[base..base + words], w);
+/// words `[base, base + stride)`, masked to the entry width `w`.
+pub fn store_entry(mem: &mut [u64], base: usize, stride: usize, data: &[u64], w: u32) {
+    let entry = &mut mem[base..base + stride];
+    words::copy(entry, data);
+    words::mask_in_place(entry, w);
 }
 
 // ------------------------------------------------------------- text IO
@@ -682,87 +342,6 @@ pub fn to_hex(words: &[u64]) -> String {
         s.push('0');
     }
     s
-}
-
-/// Parses lowercase/uppercase hex into little-endian words (at least
-/// one word). Returns `None` on invalid digits.
-pub fn parse_hex(s: &str) -> Option<Vec<u64>> {
-    if s.is_empty() {
-        return None;
-    }
-    let digits: Vec<u32> = s
-        .chars()
-        .map(|c| c.to_digit(16))
-        .collect::<Option<Vec<_>>>()?;
-    let nwords = (digits.len() * 4).div_ceil(64).max(1);
-    let mut out = vec![0u64; nwords];
-    for (k, &d) in digits.iter().rev().enumerate() {
-        let bit = k * 4;
-        out[bit / 64] |= (d as u64) << (bit % 64);
-    }
-    Some(out)
-}
-
-/// One parsed stimulus file: memory images plus per-cycle input frames.
-pub struct StimulusFile {
-    /// `!load <mem> <hex>...` directives, one image word per entry.
-    pub loads: Vec<(String, Vec<u64>)>,
-    /// Per-cycle pokes: `(input name, canonical words)` pairs. Cycles
-    /// beyond the last frame run with inputs held.
-    pub frames: Vec<Vec<(String, Vec<u64>)>>,
-}
-
-/// Parses the AoT stimulus text format:
-///
-/// ```text
-/// # comment
-/// !load imem 13 00000513
-/// rst=1 in0=ff
-/// rst=0
-/// ```
-///
-/// Every non-directive line (including an empty one) is one cycle's
-/// frame of `name=hex` pokes.
-pub fn parse_stimulus(text: &str) -> Result<StimulusFile, String> {
-    let mut loads = Vec::new();
-    let mut frames = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("!load ") {
-            let mut it = rest.split_whitespace();
-            let mem = it
-                .next()
-                .ok_or_else(|| format!("line {}: !load needs a memory name", ln + 1))?;
-            let mut image = Vec::new();
-            for tok in it {
-                let words =
-                    parse_hex(tok).ok_or_else(|| format!("line {}: bad hex {tok:?}", ln + 1))?;
-                if words[1..].iter().any(|&w| w != 0) {
-                    return Err(format!(
-                        "line {}: image word {tok:?} exceeds 64 bits",
-                        ln + 1
-                    ));
-                }
-                image.push(words[0]);
-            }
-            loads.push((mem.to_string(), image));
-            continue;
-        }
-        let mut frame = Vec::new();
-        for tok in line.split_whitespace() {
-            let (name, val) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected name=hex, got {tok:?}", ln + 1))?;
-            let words =
-                parse_hex(val).ok_or_else(|| format!("line {}: bad hex {val:?}", ln + 1))?;
-            frame.push((name.to_string(), words));
-        }
-        frames.push(frame);
-    }
-    Ok(StimulusFile { loads, frames })
 }
 
 // -------------------------------------------------- state serialization
@@ -829,117 +408,5 @@ impl<'a> HexStream<'a> {
     /// leaves one final empty fragment).
     pub fn at_end(&mut self) -> bool {
         matches!(self.it.next(), None | Some(""))
-    }
-}
-
-// ----------------------------------------------------------- VCD output
-
-/// IEEE-1364 VCD identifier codes: bijective base-94 over the
-/// printable range `!`..`~` (mirrors `gsim_wave::id_code`, so the two
-/// writers assign identical codes for identical signal indices).
-pub fn vcd_id(mut n: usize) -> String {
-    let mut buf = Vec::new();
-    loop {
-        buf.push(b'!' + (n % 94) as u8);
-        n /= 94;
-        if n == 0 {
-            break;
-        }
-        n -= 1;
-    }
-    buf.reverse();
-    String::from_utf8(buf).expect("printable ASCII")
-}
-
-/// Converts a canonical lowercase-hex value (the wire/peek rendering)
-/// to VCD binary digits: no leading zeros, `"0"` for zero.
-pub fn hex_to_vcd_bin(hex: &str) -> String {
-    let mut s = String::with_capacity(hex.len() * 4);
-    for c in hex.chars() {
-        let d = c.to_digit(16).unwrap_or(0);
-        for b in (0..4).rev() {
-            let bit = (d >> b) & 1;
-            if s.is_empty() && bit == 0 {
-                continue;
-            }
-            s.push(if bit == 1 { '1' } else { '0' });
-        }
-    }
-    if s.is_empty() {
-        s.push('0');
-    }
-    s
-}
-
-/// A minimal change-driven VCD writer over hex-rendered values: the
-/// emitted simulator's `--vcd` mode. Produces the same dialect
-/// `gsim_wave` writes and parses (single module scope, `#` time
-/// stamps only when time advances, `b<bin>` vectors / scalar digits),
-/// so `gsim wavediff` canonicalizes both identically. Write errors
-/// are latched and reported by [`Vcd::finish`].
-pub struct Vcd<W: std::io::Write> {
-    out: W,
-    widths: Vec<u32>,
-    cur_time: Option<u64>,
-    failed: bool,
-}
-
-impl<W: std::io::Write> Vcd<W> {
-    /// Writes the declaration header for `signals` under one module
-    /// scope named `top`. Zero-width signals must be excluded by the
-    /// caller.
-    pub fn new(mut out: W, top: &str, signals: &[(&str, u32)]) -> Vcd<W> {
-        let mut failed = writeln!(out, "$timescale 1ns $end").is_err()
-            || writeln!(out, "$scope module {top} $end").is_err();
-        for (i, (name, width)) in signals.iter().enumerate() {
-            failed |= writeln!(out, "$var wire {width} {} {name} $end", vcd_id(i)).is_err();
-        }
-        failed |= writeln!(out, "$upscope $end").is_err()
-            || writeln!(out, "$enddefinitions $end").is_err();
-        Vcd {
-            out,
-            widths: signals.iter().map(|&(_, w)| w).collect(),
-            cur_time: None,
-            failed,
-        }
-    }
-
-    fn stamp(&mut self, time: u64) {
-        if self.cur_time != Some(time) {
-            self.failed |= writeln!(self.out, "#{time}").is_err();
-            self.cur_time = Some(time);
-        }
-    }
-
-    fn value(&mut self, signal: usize, hex: &str) {
-        let id = vcd_id(signal);
-        if self.widths[signal] == 1 {
-            let bit = if hex == "0" { '0' } else { '1' };
-            self.failed |= writeln!(self.out, "{bit}{id}").is_err();
-        } else {
-            self.failed |= writeln!(self.out, "b{} {id}", hex_to_vcd_bin(hex)).is_err();
-        }
-    }
-
-    /// Emits the `$dumpvars` baseline: every signal's value at `time`.
-    pub fn baseline(&mut self, time: u64, values: &[String]) {
-        self.stamp(time);
-        self.failed |= writeln!(self.out, "$dumpvars").is_err();
-        for (i, hex) in values.iter().enumerate() {
-            self.value(i, hex);
-        }
-        self.failed |= writeln!(self.out, "$end").is_err();
-    }
-
-    /// Records one value change at `time` (times must be monotonic).
-    pub fn change(&mut self, time: u64, signal: usize, hex: &str) {
-        self.stamp(time);
-        self.value(signal, hex);
-    }
-
-    /// Flushes; `false` if any write failed along the way.
-    pub fn finish(&mut self) -> bool {
-        self.failed |= self.out.flush().is_err();
-        !self.failed
     }
 }

@@ -1,10 +1,12 @@
-//! Differential property tests: the embedded AoT runtime (`rt`) must
-//! agree bit-for-bit with `gsim_value::ops`, the semantic reference
-//! for the whole simulator. Every emitted program computes through
-//! these kernels (or through the narrow `u128` tier, which the
-//! end-to-end AoT differential tests pin separately), so this module
-//! is the load-bearing correctness argument for wide signals in
-//! compiled simulators.
+//! Differential property tests: the AoT runtime's op semantics (`rt`)
+//! must agree bit-for-bit with `gsim_value::ops`, the semantic
+//! reference for the whole simulator. Every emitted program computes
+//! wide signals through these functions (or through the narrow `u128`
+//! tier, which the end-to-end AoT differential tests pin separately),
+//! so this module is the load-bearing correctness argument for wide
+//! signals in compiled simulators. The word kernels underneath are
+//! `gsim_value::words` itself (embedded, not copied), pinned by that
+//! crate's own tests.
 
 use crate::rt;
 use gsim_value::{ops, words_for, Value};
@@ -92,7 +94,7 @@ proptest! {
     }
 
     #[test]
-    fn bitwise_and_reductions_match((aw, a) in operand(), (bw, b) in operand(), signed in any::<bool>()) {
+    fn bitwise_match((aw, a) in operand(), (bw, b) in operand(), signed in any::<bool>()) {
         let (va, vb) = (val(&a, aw), val(&b, bw));
         let w = aw.max(bw);
         for (which, opf) in [
@@ -104,33 +106,6 @@ proptest! {
             rt::bitwise(&mut out[..words_for(w)], w, va.words(), aw, vb.words(), bw, signed, which);
             let expect = opf(&va, &vb, signed);
             prop_assert_eq!(&out[..words_for(w)], expect.words());
-        }
-        let mut out = out_for(aw);
-        rt::not(&mut out[..words_for(aw)], va.words(), aw);
-        let expect = ops::not(&va);
-        prop_assert_eq!(&out[..words_for(aw)], expect.words());
-        prop_assert_eq!(rt::andr(va.words(), aw), ops::andr(&va).to_u64() == Some(1));
-        prop_assert_eq!(rt::orr(va.words()), ops::orr(&va).to_u64() == Some(1));
-        prop_assert_eq!(rt::xorr(va.words()), ops::xorr(&va).to_u64() == Some(1));
-    }
-
-    #[test]
-    fn cat_extract_match((aw, a) in operand(), (bw, b) in operand(), hi_f in any::<u16>(), lo_f in any::<u16>()) {
-        let (va, vb) = (val(&a, aw), val(&b, bw));
-        let w = aw + bw;
-        let mut out = out_for(w);
-        rt::cat(&mut out[..words_for(w).max(1)], va.words(), vb.words(), bw);
-        let expect = ops::cat(&va, &vb);
-        prop_assert_eq!(&out[..words_for(w)], expect.words());
-
-        if aw > 0 {
-            let lo = lo_f as u32 % aw;
-            let hi = lo + (hi_f as u32 % (aw - lo));
-            let w = hi - lo + 1;
-            let mut out = out_for(w);
-            rt::extract(&mut out[..words_for(w)], va.words(), lo, w);
-            let expect = ops::bits(&va, hi, lo);
-            prop_assert_eq!(&out[..words_for(w)], expect.words(), "bits {}..{} of {}", hi, lo, aw);
         }
     }
 
@@ -189,6 +164,9 @@ proptest! {
         let x = rt::to_u128(va.words());
         prop_assert_eq!(Some(x), va.to_u128());
         prop_assert_eq!(rt::mask128(x, aw), x, "canonical values are fixed points");
+        let mut back = [u64::MAX; 3];
+        rt::store128(&mut back, x);
+        prop_assert_eq!((rt::to_u128(&back), back[2]), (x, 0));
         if aw <= 128 {
             prop_assert_eq!(Some(rt::sx128(x, aw)), va.to_i128());
         }
@@ -202,7 +180,7 @@ proptest! {
         let hex = rt::to_hex(va.words());
         prop_assert_eq!(&hex, &format!("{:x}", va), "hex rendering");
         if aw > 0 {
-            let parsed = rt::parse_hex(&hex).unwrap();
+            let parsed = gsim_sim::wire::parse_hex(&hex).unwrap();
             let vp = Value::from_words(parsed, aw);
             prop_assert_eq!(vp, va);
         }
@@ -260,74 +238,4 @@ fn state_blob_rejects_malformed_tokens() {
     let mut trailing = rt::HexStream::new("a.b.");
     assert_eq!(trailing.next_u64(), Some(0xa));
     assert!(!trailing.at_end(), "unconsumed token detected");
-}
-
-/// The embedded VCD writer must emit the exact dialect `gsim_wave`
-/// writes and parses: identical base-94 id codes, identical binary
-/// rendering, and — for the same change history — a byte stream that
-/// `gsim_wave::parse_vcd` canonicalizes to the same wave the
-/// `gsim_wave` writer produces. This is what lets `gsim wavediff`
-/// compare an emitted binary's `--vcd` output against a local
-/// capture without a normalization pass.
-#[test]
-fn embedded_vcd_writer_matches_gsim_wave_dialect() {
-    use gsim_wave::{WaveSignal, WaveSink};
-
-    for n in [0usize, 1, 93, 94, 95, 94 * 94 - 1, 94 * 94, 123_456] {
-        assert_eq!(rt::vcd_id(n), gsim_wave::id_code(n), "id code for {n}");
-    }
-    assert_eq!(rt::hex_to_vcd_bin("0"), "0");
-    assert_eq!(rt::hex_to_vcd_bin("00"), "0");
-    assert_eq!(rt::hex_to_vcd_bin("1"), "1");
-    assert_eq!(rt::hex_to_vcd_bin("a5"), "10100101");
-    assert_eq!(rt::hex_to_vcd_bin("0f"), "1111");
-
-    // The same design and change history through both writers.
-    let names: [(&str, u32); 3] = [("out", 8), ("halt", 1), ("wide", 96)];
-    let baseline: [&[u64]; 3] = [&[0], &[0], &[0, 0]];
-    let changes: [(u64, usize, &[u64]); 5] = [
-        (1, 0, &[0xa5]),
-        (1, 2, &[u64::MAX, 0xffff_ffff]),
-        (3, 1, &[1]),
-        (3, 0, &[0x42]),
-        (7, 2, &[0, 0]),
-    ];
-
-    let mut emitted = Vec::new();
-    let mut vcd = rt::Vcd::new(&mut emitted, "top", &names);
-    let hex = |words: &[u64], w: u32| gsim_wave::words_to_hex(words, w);
-    let base_hex: Vec<String> = names
-        .iter()
-        .zip(baseline)
-        .map(|(&(_, w), v)| hex(v, w))
-        .collect();
-    vcd.baseline(0, &base_hex);
-    for &(t, i, words) in &changes {
-        vcd.change(t, i, &hex(words, names[i].1));
-    }
-    assert!(vcd.finish(), "embedded writer reported a write failure");
-
-    let signals: Vec<WaveSignal> = names.iter().map(|&(n, w)| WaveSignal::new(n, w)).collect();
-    let mut reference = Vec::new();
-    let mut writer = gsim_wave::VcdWriter::new(&mut reference);
-    writer.start("top", &signals).unwrap();
-    let base_words: Vec<Vec<u64>> = baseline.iter().map(|v| v.to_vec()).collect();
-    writer.dumpvars(0, &base_words).unwrap();
-    for &(t, i, words) in &changes {
-        writer.change(t, i, words).unwrap();
-    }
-    WaveSink::finish(&mut writer).unwrap();
-
-    let a = gsim_wave::parse_vcd(std::str::from_utf8(&emitted).unwrap()).unwrap();
-    let b = gsim_wave::parse_vcd(std::str::from_utf8(&reference).unwrap()).unwrap();
-    let diffs = gsim_wave::diff(&a, &b);
-    assert!(
-        diffs.is_empty(),
-        "embedded vs gsim_wave VCD diverge:\n{}",
-        diffs
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }

@@ -15,17 +15,19 @@
 //!   Table IV "data size" accounting ([`crate::layout`]): inputs,
 //!   register current/shadow pairs, then combinational values in sweep
 //!   order, each stored in the narrowest natural integer type;
-//! * a `main` that reads an `rt::parse_stimulus`-format stimulus
-//!   stream, steps the design, and reports peeks + counters (plus a
+//! * a `main` that reads a stimulus stream in the `Scenario` text
+//!   format, steps the design, and reports peeks + counters (plus a
 //!   JSON summary line) on stdout — or, with `--serve`, stays
 //!   resident and speaks the line-oriented session protocol
-//!   (documented on `gsim_sim::Session`) over stdin/stdout.
+//!   ([`gsim_sim::wire`]) over stdin/stdout.
 //!
 //! Values up to 128 bits compute on native `u64`/`u128` arithmetic;
-//! wider signals go through the embedded `rt` word kernels, whose
-//! semantics are pinned against `gsim_value::ops` by this crate's
-//! tests. Emission is deterministic: the same graph always produces
-//! the same source text.
+//! wider signals go through `gsim_value`'s word kernels and the `rt`
+//! op semantics built on them. The program is standalone: the
+//! workspace files it needs (word kernels, wire grammar, stimulus
+//! parser, VCD writer, `rt.rs`) are embedded as modules by `embed`.
+//! Emission is deterministic: the same graph always produces the same
+//! source text.
 
 use crate::layout::{self, StateLayout};
 use gsim_graph::{Expr, ExprKind, Graph, NodeId, NodeKind, PrimOp};
@@ -795,13 +797,13 @@ impl Emitter<'_> {
             }
             Not => {
                 let _ = writeln!(out, "{indent}let mut {t} = [0u64; {k}];");
-                let _ = writeln!(out, "{indent}rt::not(&mut {t}, {}, {w});", a(0));
+                let _ = writeln!(out, "{indent}words::not(&mut {t}, {}, {w});", a(0));
             }
             Andr | Orr | Xorr => {
                 let f = match op {
-                    Andr => format!("((rt::andr({}, {})) as u128)", a(0), wa(0)),
-                    Orr => format!("((rt::orr({})) as u128)", a(0)),
-                    _ => format!("((rt::xorr({})) as u128)", a(0)),
+                    Andr => format!("((words::andr({}, {})) as u128)", a(0), wa(0)),
+                    Orr => format!("((words::orr({})) as u128)", a(0)),
+                    _ => format!("((words::xorr({})) as u128)", a(0)),
                 };
                 return self.bind_n(f, 1, false, out, indent);
             }
@@ -809,7 +811,7 @@ impl Emitter<'_> {
                 let _ = writeln!(out, "{indent}let mut {t} = [0u64; {k}];");
                 let _ = writeln!(
                     out,
-                    "{indent}rt::cat(&mut {t}, {}, {}, {});",
+                    "{indent}words::cat(&mut {t}, {}, {}, {});",
                     a(0),
                     a(1),
                     wa(1)
@@ -822,7 +824,11 @@ impl Emitter<'_> {
                     _ => 0,
                 };
                 let _ = writeln!(out, "{indent}let mut {t} = [0u64; {k}];");
-                let _ = writeln!(out, "{indent}rt::extract(&mut {t}, {}, {lo}, {w});", a(0));
+                let _ = writeln!(
+                    out,
+                    "{indent}words::extract(&mut {t}, {}, {lo}, {w});",
+                    a(0)
+                );
             }
             Shl => {
                 let _ = writeln!(out, "{indent}let mut {t} = [0u64; {k}];");
@@ -881,7 +887,7 @@ impl Emitter<'_> {
                 };
                 let sel_nonzero = match &operands[0] {
                     Operand::N { expr, .. } => format!("{expr} != 0"),
-                    Operand::W { expr, .. } => format!("rt::orr(&{expr})"),
+                    Operand::W { expr, .. } => format!("words::orr(&{expr})"),
                 };
                 let _ = writeln!(out, "{indent}let mut {t} = [0u64; {k}];");
                 let _ = writeln!(
@@ -1067,7 +1073,7 @@ impl Emitter<'_> {
             let op = self.node_operand(sig);
             let nz = match &op {
                 Operand::N { expr, .. } => format!("{expr} != 0"),
-                Operand::W { expr, .. } => format!("rt::orr(&{expr})"),
+                Operand::W { expr, .. } => format!("words::orr(&{expr})"),
             };
             let _ = writeln!(commit, "        let rst_n{}: bool = {nz};", sig.index());
         }
@@ -1104,7 +1110,7 @@ impl Emitter<'_> {
             let en = self.gen_expr(&wops.en, &mut commit, ind2);
             let en_test = match &en {
                 Operand::N { expr, .. } => format!("{expr} != 0"),
-                Operand::W { expr, .. } => format!("rt::orr(&{expr})"),
+                Operand::W { expr, .. } => format!("words::orr(&{expr})"),
             };
             let _ = writeln!(commit, "{ind2}if {en_test} {{");
             let ind3 = "                ";
@@ -1290,7 +1296,7 @@ impl Emitter<'_> {
                 }
                 Repr::U128 => format!("rt::mask128(rt::to_u128(val), {w})"),
                 Repr::Wide(k) => format!(
-                    "{{ let mut z = [0u64; {k}]; rt::copy(&mut z, val); rt::mask(&mut z, {w}); z }}"
+                    "{{ let mut z = [0u64; {k}]; words::copy(&mut z, val); words::mask_in_place(&mut z, {w}); z }}"
                 ),
             };
             let _ = writeln!(poke, "            {:?} => {{", node.name);
@@ -1486,6 +1492,13 @@ impl Emitter<'_> {
         let _ = writeln!(outputs, "            _ => None,");
         let _ = writeln!(outputs, "        }}");
         let _ = writeln!(outputs, "    }}");
+        let _ = writeln!(outputs);
+        let _ = writeln!(outputs, "    fn hex_of(&self, name: &str) -> String {{");
+        let _ = writeln!(
+            outputs,
+            "        self.signal(name).map_or_else(|| String::from(\"0\"), |(_, h)| h)"
+        );
+        let _ = writeln!(outputs, "    }}");
 
         // ---- assemble the program ----
         let _ = writeln!(
@@ -1505,9 +1518,19 @@ impl Emitter<'_> {
             "#![allow(unused_parens, unused_variables, unused_mut, dead_code)]"
         );
         let _ = writeln!(body);
-        let _ = writeln!(body, "mod rt {{");
-        let _ = writeln!(body, "{}", include_str!("rt.rs"));
-        let _ = writeln!(body, "}}");
+        embed(&mut body, "words", include_str!("../../value/src/words.rs"));
+        embed(&mut body, "wire", include_str!("../../sim/src/wire.rs"));
+        embed(
+            &mut body,
+            "scenario_text",
+            include_str!("../../sim/src/scenario_text.rs"),
+        );
+        embed(
+            &mut body,
+            "vcd_writer",
+            include_str!("../../wave/src/vcd_writer.rs"),
+        );
+        embed(&mut body, "rt", include_str!("rt.rs"));
         let _ = writeln!(body);
         for (i, c) in self.wide_consts.iter().enumerate() {
             let words: Vec<String> = c.iter().map(|w| format!("0x{w:x}")).collect();
@@ -1623,6 +1646,28 @@ impl Emitter<'_> {
     }
 }
 
+/// Embeds a workspace source file as module `name` of the emitted
+/// program: its code, token for token, up to the first line that says
+/// the rest is not for emitted programs — the `#[cfg(test)]` that pulls
+/// in its sibling test file, or `wire.rs`'s "client half" marker.
+/// Comment lines, blank lines and indentation are dropped too: the
+/// workspace file is the readable copy, and what the emitted program
+/// carries is paid for in `rustc` time per design and reported as
+/// Table IV "code size". Embedded files therefore hold no multi-line
+/// string literals.
+fn embed(body: &mut String, name: &str, src: &str) {
+    let _ = writeln!(body, "mod {name} {{");
+    let embedded = |l: &&str| *l != "#[cfg(test)]" && !l.starts_with("// ---- client half");
+    for line in src.lines().take_while(embedded) {
+        let code = line.trim_start();
+        if !code.is_empty() && !code.starts_with("//") {
+            body.push_str(code);
+            body.push('\n');
+        }
+    }
+    let _ = writeln!(body, "}}");
+}
+
 fn kind_tag(node: &gsim_graph::Node) -> &'static str {
     match node.kind {
         NodeKind::Input => "input",
@@ -1668,7 +1713,7 @@ fn main_template(design: &str) -> String {
         }
     }
     let stim = match stim_path.as_deref() {
-        None => rt::StimulusFile { loads: Vec::new(), frames: Vec::new() },
+        None => scenario_text::Scenario::default(),
         Some(p) => {
             let text = if p == "-" {
                 use std::io::Read as _;
@@ -1681,7 +1726,7 @@ fn main_template(design: &str) -> String {
                 std::fs::read_to_string(p)
                     .unwrap_or_else(|e| die(&format!("cannot read {p}: {e}")))
             };
-            rt::parse_stimulus(&text).unwrap_or_else(|e| die(&e))
+            scenario_text::Scenario::parse_text(&text).unwrap_or_else(|e| die(&e))
         }
     };
     let mut sim = Sim::new();
@@ -1702,27 +1747,30 @@ fn main_template(design: &str) -> String {
     // detected against a hex shadow (the same canonical rendering the
     // wire protocol and `peek` use, so every backend's VCD
     // canonicalizes identically under `gsim wavediff`).
+    let vcd_die = |e: std::io::Error| -> ! { die(&format!("vcd write failed: {e}")) };
     let mut vcd = vcd_path.as_deref().map(|p| {
         let f = std::fs::File::create(p)
             .unwrap_or_else(|e| die(&format!("cannot create {p}: {e}")));
-        let sigs: Vec<(&str, u32)> = SIGNALS_META
-            .iter()
-            .copied()
-            .filter(|&(_, w)| w > 0)
-            .collect();
-        let shadow: Vec<String> = sigs
-            .iter()
-            .map(|&(n, _)| sim.signal(n).map_or_else(|| String::from("0"), |(_, h)| h))
-            .collect();
-        let mut w = rt::Vcd::new(std::io::BufWriter::new(f), "top", &sigs);
-        w.baseline(sim.cycles, &shadow);
+        let (mut sigs, mut shadow, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        for &(n, w) in SIGNALS_META {
+            if w > 0 {
+                let h = sim.hex_of(n);
+                sigs.push((n, w));
+                values.push(hex_words(&h));
+                shadow.push(h);
+            }
+        }
+        let mut w = vcd_writer::VcdWriter::new(std::io::BufWriter::new(f));
+        w.header("top", &sigs)
+            .and_then(|()| w.dumpvars(sim.cycles, &values))
+            .unwrap_or_else(|e| vcd_die(e));
         (w, sigs, shadow)
     });
     let t0 = std::time::Instant::now();
     for c in 0..cycles {
         if let Some(frame) = stim.frames.get(c as usize) {
             for (name, val) in frame {
-                if !sim.poke(name, val) {
+                if !sim.poke(name, &[*val]) {
                     die(&format!("unknown input {name:?}"));
                 }
             }
@@ -1730,11 +1778,11 @@ fn main_template(design: &str) -> String {
         sim.cycle();
         if let Some((w, sigs, shadow)) = vcd.as_mut() {
             for (i, &(n, _)) in sigs.iter().enumerate() {
-                if let Some((_, h)) = sim.signal(n) {
-                    if h != shadow[i] {
-                        w.change(sim.cycles, i, &h);
-                        shadow[i] = h;
-                    }
+                let h = sim.hex_of(n);
+                if h != shadow[i] {
+                    w.change(sim.cycles, i, &hex_words(&h))
+                        .unwrap_or_else(|e| vcd_die(e));
+                    shadow[i] = h;
                 }
             }
         }
@@ -1747,9 +1795,7 @@ fn main_template(design: &str) -> String {
         }
     }
     if let Some((mut w, _, _)) = vcd.take() {
-        if !w.finish() {
-            die("vcd write failed");
-        }
+        w.finish().unwrap_or_else(|e| vcd_die(e));
     }
     let secs = t0.elapsed().as_secs_f64();
     for (n, w, v) in sim.outputs() {
@@ -1777,15 +1823,18 @@ fn main_template(design: &str) -> String {
     );
 }
 
-/// The persistent server mode: a line-oriented command loop over
-/// stdin/stdout so one compiled process serves a whole interactive
-/// session (see the `Session` trait's "AoT server wire protocol"
-/// rustdoc in `gsim_sim`). Mutating commands are silent on success so
-/// drivers can pipeline them; `err <class> ...` lines are queued in
-/// command order and flushed by the next responding command. Query
-/// commands flush their single response line immediately.
+/// The persistent server mode: the command loop of the session wire
+/// protocol over stdin/stdout, so one compiled process serves a whole
+/// interactive session. The grammar — and the protocol's
+/// documentation — is `mod wire` (the workspace's
+/// `crates/sim/src/wire.rs`, embedded above); this loop only
+/// dispatches on its `Command`. Mutating commands are silent on
+/// success so drivers can pipeline them; their `err <class> ...` lines
+/// are queued in command order for the next `sync`. Queries answer
+/// their single response line immediately.
 fn serve(mut sim: Sim) {
-    use std::io::{BufRead as _, Write as _};
+    use std::io::Write as _;
+    use wire::{Command, LineRead, Reply};
     // Deterministic fault injection for the chaos suite: the spawner
     // plants GSIM_CHILD_FAULT (`exit_at_cycle=N` / `stall_at_cycle=N`)
     // and this process misbehaves at exactly that cycle — an abort
@@ -1803,39 +1852,48 @@ fn serve(mut sim: Sim) {
         }
     }
     let stdin = std::io::stdin();
+    let mut input = stdin.lock();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut snaps: Vec<Sim> = Vec::new();
+    let mut queued: Vec<String> = Vec::new();
     // Active trace subscription: indices into SIGNALS_META plus the
     // hex shadow change detection compares against. Empty when off —
     // the per-cycle cost is then one `is_empty` test.
     let mut traced: Vec<usize> = Vec::new();
     let mut trace_shadow: Vec<String> = Vec::new();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    let mut buf = Vec::new();
+    loop {
+        match wire::read_line(&mut input, &mut buf) {
+            Ok(LineRead::Line) => {}
+            Ok(LineRead::TooLong) => {
+                let _ = writeln!(out, "{}", wire::WireError::line_too_long().reply());
+                continue;
+            }
+            Ok(LineRead::Eof) | Err(_) => break,
+        }
+        let line = String::from_utf8_lossy(&buf);
+        if line.is_empty() {
+            continue;
+        }
+        let cmd = match Command::parse(&line) {
+            Ok(cmd) => cmd,
+            Err(e) if e.query => {
+                let _ = writeln!(out, "{}", e.reply());
+                continue;
+            }
+            Err(e) => {
+                queued.push(e.reply());
+                continue;
+            }
         };
-        let mut it = line.split_whitespace();
-        match it.next() {
-            None => {}
-            Some("poke") => match (it.next(), it.next()) {
-                (Some(name), Some(hex)) => match rt::parse_hex(hex) {
-                    Some(words) => {
-                        if !sim.poke(name, &words) {
-                            let _ = writeln!(out, "err unknown-input {name}");
-                        }
-                    }
-                    None => {
-                        let _ = writeln!(out, "err protocol bad hex {hex:?}");
-                    }
-                },
-                _ => {
-                    let _ = writeln!(out, "err protocol poke needs <name> <hex>");
+        match cmd {
+            Command::Poke { name, hex } => {
+                if !sim.poke(name, &hex_words(hex)) {
+                    queued.push(format!("err unknown-input {name}"));
                 }
-            },
-            Some("step") => {
-                let n: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or(1);
+            }
+            Command::Step(n) => {
                 for _ in 0..n {
                     sim.cycle();
                     if exit_at_cycle == Some(sim.cycles) {
@@ -1851,191 +1909,112 @@ fn serve(mut sim: Sim) {
                     }
                 }
             }
-            Some("load") => match it.next() {
-                Some(name) => {
-                    let mut image = Vec::new();
-                    let mut ok = true;
-                    for tok in it {
-                        match rt::parse_hex(tok) {
-                            Some(words) if words[1..].iter().all(|&w| w == 0) => {
-                                image.push(words[0]);
-                            }
-                            _ => {
-                                let _ = writeln!(out, "err protocol bad image word {tok:?}");
-                                ok = false;
-                                break;
-                            }
+            Command::Load { mem, image } => {
+                if !sim.load_mem(mem, &image) {
+                    // The emitted load_mem also fails on oversized
+                    // images; the memory table is known statically.
+                    queued.push(match KNOWN_MEMS.iter().find(|(n, _, _)| *n == mem) {
+                        Some((_, depth, _)) => {
+                            format!("err mem-too-large {mem} {depth} {}", image.len())
                         }
-                    }
-                    if ok && !sim.load_mem(name, &image) {
-                        // The emitted load_mem also fails on oversized
-                        // images; the memory table is known statically.
-                        match KNOWN_MEMS.iter().find(|(n, _, _)| *n == name) {
-                            Some((_, depth, _)) => {
-                                let _ = writeln!(
-                                    out,
-                                    "err mem-too-large {name} {depth} {}",
-                                    image.len()
-                                );
-                            }
-                            None => {
-                                let _ = writeln!(out, "err unknown-memory {name}");
-                            }
-                        }
-                    }
+                        None => format!("err unknown-memory {mem}"),
+                    });
                 }
-                None => {
-                    let _ = writeln!(out, "err protocol load needs <mem> <hex>...");
-                }
-            },
-            Some("peek") => {
-                match it.next() {
-                    Some(name) => match sim.signal(name) {
-                        Some((w, hex)) => {
-                            let _ = writeln!(out, "val {w} {hex}");
-                        }
-                        None => {
-                            let _ = writeln!(out, "err unknown-signal {name}");
-                        }
-                    },
-                    None => {
-                        let _ = writeln!(out, "err protocol peek needs <name>");
-                    }
-                }
-                let _ = out.flush();
             }
-            Some("counters") => {
-                let _ = writeln!(
-                    out,
-                    "counters {} {} {} {}",
-                    sim.cycles, sim.supernode_evals, sim.node_evals, sim.value_changes
-                );
-                let _ = out.flush();
+            Command::Peek(name) => {
+                let _ = match sim.signal(name) {
+                    Some((width, hex)) => writeln!(out, "{}", Reply::Val { width, hex: &hex }),
+                    None => writeln!(out, "err unknown-signal {name}"),
+                };
             }
-            Some("list") => {
-                // Exactly three response lines: inputs, signals, mems.
-                let _ = write!(out, "inputs");
-                for (n, w) in INPUTS_META {
-                    let _ = write!(out, " {n}:{w}");
-                }
-                let _ = writeln!(out);
-                let _ = write!(out, "signals");
-                for (n, w) in SIGNALS_META {
-                    let _ = write!(out, " {n}:{w}");
-                }
-                let _ = writeln!(out);
-                let _ = write!(out, "mems");
-                for (n, d, w) in KNOWN_MEMS {
-                    let _ = write!(out, " {n}:{d}:{w}");
-                }
-                let _ = writeln!(out);
-                let _ = out.flush();
+            Command::Counters => {
+                let c = [sim.cycles, sim.supernode_evals, sim.node_evals, sim.value_changes];
+                let _ = writeln!(out, "{}", Reply::Counters(c));
             }
-            Some("snapshot") => {
+            Command::List => {
+                let _ = writeln!(out, "{}", Reply::Inputs(INPUTS_META.to_vec()));
+                let _ = writeln!(out, "{}", Reply::Signals(SIGNALS_META.to_vec()));
+                let _ = writeln!(out, "{}", Reply::Mems(KNOWN_MEMS.to_vec()));
+            }
+            Command::Snapshot => {
                 snaps.push(sim.clone());
-                let _ = writeln!(out, "snap {}", snaps.len() - 1);
-                let _ = out.flush();
+                let _ = writeln!(out, "{}", Reply::Snap(snaps.len() as u64 - 1));
             }
-            Some("restore") => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(id) if id < snaps.len() => {
-                    sim = snaps[id].clone();
+            Command::Restore(id) => match usize::try_from(id).ok().and_then(|i| snaps.get(i)) {
+                Some(snap) => {
+                    sim = snap.clone();
                     // The state jumped: stream whatever moved so the
                     // subscriber's view stays change-complete.
                     if !traced.is_empty() {
                         stream_changes(&sim, &mut out, &traced, &mut trace_shadow);
                     }
                 }
-                Some(id) => {
-                    let _ = writeln!(out, "err unknown-snapshot {id}");
-                }
-                None => {
-                    let _ = writeln!(out, "err protocol restore needs <id>");
-                }
+                None => queued.push(format!("err unknown-snapshot {id}")),
             },
-            Some("state") => {
-                let _ = writeln!(out, "state {} {}", sim.cycles, sim.save_state());
-                let _ = out.flush();
+            Command::State => {
+                let blob = sim.save_state();
+                let _ = writeln!(out, "{}", Reply::State { cycle: sim.cycles, blob: &blob });
             }
-            Some("loadstate") => match it.next() {
-                Some(blob) => {
-                    // Parse into a scratch copy so a bad blob cannot
-                    // leave the live simulation half-overwritten.
-                    let mut fresh = sim.clone();
-                    if fresh.load_state(blob) {
-                        sim = fresh;
-                        if !traced.is_empty() {
-                            stream_changes(&sim, &mut out, &traced, &mut trace_shadow);
-                        }
-                    } else {
-                        let _ = writeln!(out, "err protocol state blob does not match this design");
+            Command::LoadState(blob) => {
+                // Parse into a scratch copy so a bad blob cannot
+                // leave the live simulation half-overwritten.
+                let mut fresh = sim.clone();
+                if fresh.load_state(blob) {
+                    sim = fresh;
+                    if !traced.is_empty() {
+                        stream_changes(&sim, &mut out, &traced, &mut trace_shadow);
+                    }
+                } else {
+                    queued.push("err protocol state blob does not match this design".into());
+                }
+            }
+            Command::TraceOn(names) => {
+                let mut sel: Vec<usize> = Vec::new();
+                let mut unknown = None;
+                if names.is_empty() {
+                    sel.extend(0..SIGNALS_META.len());
+                }
+                for n in names {
+                    match SIGNALS_META.iter().position(|&(s, _)| s == n) {
+                        Some(i) => sel.push(i),
+                        None => unknown = unknown.or(Some(n)),
                     }
                 }
-                None => {
-                    let _ = writeln!(out, "err protocol loadstate needs <blob>");
+                if let Some(n) = unknown {
+                    queued.push(format!("err unknown-signal {n}"));
+                    continue;
                 }
-            },
-            Some("trace") => match it.next() {
-                Some("on") => {
-                    let names: Vec<&str> = it.collect();
-                    let mut sel: Vec<usize> = Vec::new();
-                    let mut ok = true;
-                    if names.is_empty() {
-                        sel.extend((0..SIGNALS_META.len()).filter(|&i| SIGNALS_META[i].1 > 0));
-                    } else {
-                        for n in names {
-                            match SIGNALS_META.iter().position(|&(s, _)| s == n) {
-                                // Zero-width signals carry no values;
-                                // they are silently excluded, exactly
-                                // as the in-process tracer does.
-                                Some(i) if SIGNALS_META[i].1 > 0 => sel.push(i),
-                                Some(_) => {}
-                                None => {
-                                    let _ = writeln!(out, "err unknown-signal {n}");
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if ok {
-                        traced = sel;
-                        trace_shadow = traced
-                            .iter()
-                            .map(|&i| {
-                                sim.signal(SIGNALS_META[i].0)
-                                    .map_or_else(|| String::from("0"), |(_, h)| h)
-                            })
-                            .collect();
+                traced.clear();
+                trace_shadow.clear();
+                for i in sel {
+                    // Zero-width signals carry no values; they are
+                    // silently excluded, exactly as the in-process
+                    // tracer does.
+                    let (name, width) = SIGNALS_META[i];
+                    if width > 0 {
                         // Baseline burst: one record per traced
                         // signal at the current cycle, so the
                         // subscriber can reconstruct absolute values.
-                        for (k, &i) in traced.iter().enumerate() {
-                            let _ = writeln!(
-                                out,
-                                "chg {} {} {}",
-                                sim.cycles, SIGNALS_META[i].0, trace_shadow[k]
-                            );
-                        }
-                        let _ = out.flush();
+                        let hex = sim.hex_of(name);
+                        let _ = writeln!(out, "{}", Reply::Chg { cycle: sim.cycles, name, hex: &hex });
+                        traced.push(i);
+                        trace_shadow.push(hex);
                     }
                 }
-                Some("off") => {
-                    traced.clear();
-                    trace_shadow.clear();
-                }
-                _ => {
-                    let _ = writeln!(out, "err protocol trace needs on|off");
-                }
-            },
-            Some("sync") => {
-                let _ = writeln!(out, "ok {}", sim.cycles);
-                let _ = out.flush();
             }
-            Some("exit") => break,
-            Some(other) => {
-                let _ = writeln!(out, "err protocol unknown command {other:?}");
+            Command::TraceOff => {
+                traced.clear();
+                trace_shadow.clear();
             }
+            Command::Sync => {
+                for e in queued.drain(..) {
+                    let _ = writeln!(out, "{e}");
+                }
+                let _ = writeln!(out, "{}", Reply::Ok(sim.cycles));
+            }
+            Command::Exit => break,
         }
+        let _ = out.flush();
     }
 }
 
@@ -2051,13 +2030,18 @@ fn stream_changes(
 ) {
     for (k, &i) in traced.iter().enumerate() {
         let name = SIGNALS_META[i].0;
-        if let Some((_, h)) = sim.signal(name) {
-            if h != shadow[k] {
-                let _ = writeln!(out, "chg {} {name} {h}", sim.cycles);
-                shadow[k] = h;
-            }
+        let hex = sim.hex_of(name);
+        if hex != shadow[k] {
+            let _ = writeln!(out, "{}", wire::Reply::Chg { cycle: sim.cycles, name, hex: &hex });
+            shadow[k] = hex;
         }
     }
+}
+
+/// Canonical hex (a `peek` rendering or a validated `poke` operand) as
+/// little-endian words.
+fn hex_words(hex: &str) -> Vec<u64> {
+    wire::parse_hex(hex).unwrap_or_default()
 }
 
 fn die(msg: &str) -> ! {

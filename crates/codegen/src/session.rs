@@ -2,22 +2,18 @@
 //! resident for a whole interactive run.
 //!
 //! [`AotSession`] spawns the `rustc`-built binary in its `--serve`
-//! mode and speaks the line-oriented wire protocol documented on
-//! [`gsim_sim::Session`]: mutating commands (`poke`, `step`, `load`,
-//! `restore`) are pipelined without per-command round trips and
-//! fenced with `sync`; query commands (`peek`, `counters`,
-//! `snapshot`) are one request/response pair each. This is what makes
-//! the AoT backend usable for *reactive* testbenches — stimulus that
-//! depends on previous outputs — and amortizes the one-time `rustc`
-//! cost to zero per step: where [`AotSim::run`] spawns a fresh process
-//! (and re-parses stimulus) per invocation, a session pays one spawn
-//! for arbitrarily many poke/step/peek interactions.
+//! mode and drives it with the workspace's one wire client
+//! ([`gsim_sim::WireSession`], protocol in [`gsim_sim::wire`]) over a
+//! [`ChildPipe`] — the transport that owns the child process and turns
+//! its failure modes (death, stall) into typed errors. This is what
+//! makes the AoT backend usable for *reactive* testbenches — stimulus
+//! that depends on previous outputs — and amortizes the one-time
+//! `rustc` cost to zero per step: where [`AotSim::run`] spawns a fresh
+//! process (and re-parses stimulus) per invocation, a session pays one
+//! spawn for arbitrarily many poke/step/peek interactions.
 
 use crate::build::{AotError, AotSim, ArtifactDir};
-use gsim_sim::{
-    Counters, FaultPlan, GsimError, MemoryInfo, Session, SessionFrame, SignalInfo, SnapshotId,
-};
-use gsim_value::Value;
+use gsim_sim::{FaultPlan, GsimError, Transport, WireClient, WireSession};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -36,13 +32,6 @@ impl From<crate::rust::EmitError> for GsimError {
     }
 }
 
-/// How many pipelined cycles [`Session::run_driven`] lets accumulate
-/// before fencing with a `sync`: bounds the unread `err` lines a
-/// misbehaving stimulus could queue in the child's stdout pipe (well
-/// under the kernel pipe capacity) while keeping the per-cycle wire
-/// cost at roughly one buffered write.
-const SYNC_CHUNK: u64 = 128;
-
 /// Default per-operation response deadline: generous enough for a
 /// heavyweight design stepping a full pipeline chunk, short enough
 /// that a wedged child surfaces as [`GsimError::Timeout`] instead of
@@ -52,12 +41,12 @@ pub const DEFAULT_OP_DEADLINE: Duration = Duration::from_secs(30);
 
 /// A live connection to a compiled simulator process in server mode.
 ///
-/// Created by [`AotSim::session`]; implements the backend-agnostic
-/// [`Session`] trait, so harnesses drive it exactly like the
-/// interpreter engines. The child process exits when the session is
-/// dropped (its stdin closes); the scratch directory holding the
-/// binary stays alive as long as either the session or its `AotSim`
-/// does.
+/// Created by [`AotSim::session`]; a [`gsim_sim::Session`] like every
+/// other backend (through [`WireClient`]), so harnesses drive it
+/// exactly like the interpreter engines. The child process exits when
+/// the session is dropped (its stdin closes); the scratch directory
+/// holding the binary stays alive as long as either the session or its
+/// `AotSim` does.
 ///
 /// # Supervision
 ///
@@ -75,7 +64,39 @@ pub const DEFAULT_OP_DEADLINE: Duration = Duration::from_secs(30);
 /// (respawn + checkpoint import + journal replay) instead of
 /// propagating the loss.
 #[derive(Debug)]
-pub struct AotSession {
+pub struct AotSession(WireSession<ChildPipe>);
+
+impl WireClient for AotSession {
+    type Transport = ChildPipe;
+
+    fn wire(&self) -> &WireSession<ChildPipe> {
+        &self.0
+    }
+
+    fn wire_mut(&mut self) -> &mut WireSession<ChildPipe> {
+        &mut self.0
+    }
+}
+
+impl AotSession {
+    /// Overrides the per-operation response deadline (default
+    /// [`DEFAULT_OP_DEADLINE`]). Chaos tests shorten it to surface
+    /// injected stalls quickly.
+    pub fn set_deadline(&mut self, deadline: Duration) {
+        self.0.transport_mut().deadline = deadline;
+    }
+
+    /// The compiled simulator's process id (for tests that kill the
+    /// child out from under the session).
+    pub fn child_id(&self) -> u32 {
+        self.0.transport().child.id()
+    }
+}
+
+/// The [`Transport`] under an [`AotSession`]: the child process, its
+/// stdin, and the reader thread draining its stdout.
+#[derive(Debug)]
+pub struct ChildPipe {
     child: Child,
     stdin: Option<ChildStdin>,
     /// Response lines, fed by the reader thread; `recv_timeout` on
@@ -85,19 +106,12 @@ pub struct AotSession {
     deadline: Duration,
     /// Set on the first transport failure; fail-fast from then on.
     poisoned: bool,
-    cycle: u64,
-    /// Cycles stepped since the last `sync` fence.
-    unsynced: u64,
-    /// The compiled binary this session's child runs — retained so
-    /// [`Session::clone_at_snapshot`] can spawn a sibling process from
-    /// the same artifact (no `rustc` involved in a fork).
+    /// The compiled binary the child runs — retained so
+    /// [`Transport::fork`] can spawn a sibling process from the same
+    /// artifact (no `rustc` involved in a fork).
     binary: PathBuf,
     /// Working directory forks inherit (see [`AotSim::session_in`]).
     cwd: Option<PathBuf>,
-    /// Reassembles unsolicited `chg` records into the caller's
-    /// [`gsim_wave::WaveSink`] while a trace subscription is active;
-    /// `None` when tracing is off.
-    router: Option<gsim_wave::ChgRouter>,
     _dir: Arc<ArtifactDir>,
 }
 
@@ -142,10 +156,11 @@ impl AotSim {
         faults: &FaultPlan,
     ) -> Result<AotSession, AotError> {
         spawn_serve(&self.binary_path, cwd, faults, self.dir_handle())
+            .map(|pipe| AotSession(WireSession::new(pipe)))
     }
 }
 
-/// Spawns `binary --serve` and wires up the session plumbing (pipes,
+/// Spawns `binary --serve` and wires up the transport plumbing (pipes,
 /// deadline reader thread). Factored out of [`AotSim::session_with`]
 /// so a live session can fork a sibling process from the same binary
 /// without holding an `AotSim` handle.
@@ -154,7 +169,7 @@ fn spawn_serve(
     cwd: Option<&Path>,
     faults: &FaultPlan,
     dir: Arc<ArtifactDir>,
-) -> Result<AotSession, AotError> {
+) -> Result<ChildPipe, AotError> {
     let mut cmd = Command::new(binary);
     cmd.arg("--serve")
         .stdin(Stdio::piped())
@@ -207,23 +222,20 @@ fn spawn_serve(
             }
         }
     });
-    Ok(AotSession {
+    Ok(ChildPipe {
         child,
         stdin: Some(stdin),
         lines,
         reader: Some(reader),
         deadline: DEFAULT_OP_DEADLINE,
         poisoned: false,
-        cycle: 0,
-        unsynced: 0,
         binary: binary.to_path_buf(),
         cwd: cwd.map(Path::to_path_buf),
-        router: None,
         _dir: dir,
     })
 }
 
-impl Drop for AotSession {
+impl Drop for ChildPipe {
     fn drop(&mut self) {
         // Closing stdin ends the server's command loop; reap the child
         // so no zombie outlives the session. A poisoned child gets no
@@ -241,20 +253,7 @@ impl Drop for AotSession {
     }
 }
 
-impl AotSession {
-    /// Overrides the per-operation response deadline (default
-    /// [`DEFAULT_OP_DEADLINE`]). Chaos tests shorten it to surface
-    /// injected stalls quickly.
-    pub fn set_deadline(&mut self, deadline: Duration) {
-        self.deadline = deadline;
-    }
-
-    /// The compiled simulator's process id (for tests that kill the
-    /// child out from under the session).
-    pub fn child_id(&self) -> u32 {
-        self.child.id()
-    }
-
+impl ChildPipe {
     /// Poisons the session and classifies the transport failure: if
     /// the child is observably dead (`try_wait`), the error carries
     /// its exit status.
@@ -268,34 +267,26 @@ impl AotSession {
         }
     }
 
-    /// Fail-fast gate plus a cheap liveness probe, run on every fence
-    /// and query turn: a child that died since the last turn is
-    /// reported as [`GsimError::SessionLost`] before any pipe traffic.
-    fn check_alive(&mut self) -> Result<(), GsimError> {
+    /// Every call after the first transport failure fails here.
+    fn fail_fast(&self) -> Result<(), GsimError> {
         if self.poisoned {
             return Err(GsimError::SessionLost(
                 "session poisoned by an earlier transport failure".into(),
             ));
-        }
-        if let Ok(Some(status)) = self.child.try_wait() {
-            self.poisoned = true;
-            return Err(GsimError::SessionLost(format!(
-                "compiled simulator exited ({status})"
-            )));
         }
         Ok(())
     }
+}
 
-    fn send(&mut self, line: &str) -> Result<(), GsimError> {
-        if self.poisoned {
-            return Err(GsimError::SessionLost(
-                "session poisoned by an earlier transport failure".into(),
-            ));
-        }
+impl Transport for ChildPipe {
+    const BACKEND: &'static str = "aot";
+
+    fn send(&mut self, bytes: &[u8]) -> Result<(), GsimError> {
+        self.fail_fast()?;
         let Some(w) = self.stdin.as_mut() else {
             return Err(GsimError::Io("server stdin closed".into()));
         };
-        match writeln!(w, "{line}") {
+        match w.write_all(bytes) {
             Ok(()) => Ok(()),
             // A write failure almost always means the child is gone
             // (EPIPE); classify it with the exit status.
@@ -313,7 +304,7 @@ impl AotSession {
         }
     }
 
-    fn read_line(&mut self) -> Result<String, GsimError> {
+    fn recv(&mut self) -> Result<String, GsimError> {
         match self.lines.recv_timeout(self.deadline) {
             Ok(Ok(line)) => Ok(line),
             Ok(Err(e)) => Err(self.lost(&format!("server read: {e}"))),
@@ -321,379 +312,40 @@ impl AotSession {
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 self.poisoned = true;
                 Err(GsimError::Timeout(format!(
-                    "no response from the compiled simulator within {:?} (cycle {})",
-                    self.deadline, self.cycle
+                    "no response from the compiled simulator within {:?}",
+                    self.deadline
                 )))
             }
         }
     }
 
-    /// Reads the next *response* line: unsolicited `chg` trace records
-    /// are routed into the active wave subscription (or dropped when
-    /// none is active — a defensive guard, the server only streams
-    /// after `trace on`) so protocol readers see exactly the line
-    /// counts the command grammar promises.
-    fn next_line(&mut self) -> Result<String, GsimError> {
-        loop {
-            let line = self.read_line()?;
-            if line.starts_with("chg ") {
-                if let Some(router) = self.router.as_mut() {
-                    router.feed(&line);
-                }
-                continue;
-            }
-            return Ok(line);
-        }
-    }
-
-    /// Fences the pipeline: sends `sync`, then drains queued `err`
-    /// lines (in command order) until the matching `ok`. Returns the
-    /// first queued error if any, else the server's cycle count —
-    /// which also resynchronizes the local mirror after `restore`.
-    fn sync(&mut self) -> Result<u64, GsimError> {
-        self.check_alive()?;
-        self.send("sync")?;
-        self.flush()?;
-        self.unsynced = 0;
-        let mut first_err = None;
-        let server_cycle;
-        loop {
-            let line = self.next_line()?;
-            if let Some(rest) = line.strip_prefix("ok") {
-                server_cycle = rest.trim().parse().unwrap_or(self.cycle);
-                break;
-            }
-            if line.starts_with("err ") && first_err.is_none() {
-                first_err = Some(GsimError::from_wire(&line));
-            }
-        }
-        self.cycle = server_cycle;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(server_cycle),
-        }
-    }
-
-    /// One query round trip (the stream must be fenced, which every
-    /// public method maintains as an invariant).
-    fn query(&mut self, req: &str) -> Result<String, GsimError> {
-        self.check_alive()?;
-        self.send(req)?;
-        self.flush()?;
-        let line = self.next_line()?;
-        if line.starts_with("err ") {
-            return Err(GsimError::from_wire(&line));
-        }
-        Ok(line)
-    }
-
-    /// Sends `list` and reads its fixed three-line response
-    /// (`inputs …` / `signals …` / `mems …`), returning the payload of
-    /// the requested line.
-    fn list_line(&mut self, want: &str) -> Result<String, GsimError> {
-        self.send("list")?;
-        self.flush()?;
-        let mut found = None;
-        for expect in ["inputs", "signals", "mems"] {
-            let line = self.next_line()?;
-            if line.starts_with("err ") {
-                return Err(GsimError::from_wire(&line));
-            }
-            let Some(rest) = line.strip_prefix(expect) else {
-                return Err(GsimError::Protocol(format!("bad list response: {line}")));
-            };
-            if expect == want {
-                found = Some(rest.trim().to_string());
-            }
-        }
-        found.ok_or_else(|| GsimError::Protocol("list response incomplete".into()))
-    }
-
-    fn parse_signal_list(payload: &str) -> Result<Vec<SignalInfo>, GsimError> {
-        payload
-            .split_whitespace()
-            .map(|tok| {
-                let (name, width) = tok
-                    .rsplit_once(':')
-                    .ok_or_else(|| GsimError::Protocol(format!("bad list entry: {tok}")))?;
-                let width = width
-                    .parse()
-                    .map_err(|_| GsimError::Protocol(format!("bad list width: {tok}")))?;
-                Ok(SignalInfo {
-                    name: name.to_string(),
-                    width,
-                })
-            })
-            .collect()
-    }
-}
-
-impl Session for AotSession {
-    fn backend(&self) -> &'static str {
-        "aot"
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn poke(&mut self, name: &str, v: Value) -> Result<(), GsimError> {
-        self.send(&format!("poke {name} {v:x}"))?;
-        self.sync().map(|_| ())
-    }
-
-    fn peek(&mut self, name: &str) -> Result<Value, GsimError> {
-        let line = self.query(&format!("peek {name}"))?;
-        let mut it = line.split_whitespace();
-        let (Some("val"), Some(w), Some(hex)) = (it.next(), it.next(), it.next()) else {
-            return Err(GsimError::Protocol(format!("bad peek response: {line}")));
-        };
-        let width: u32 = w
-            .parse()
-            .map_err(|_| GsimError::Protocol(format!("bad peek width: {line}")))?;
-        Value::from_str_radix(hex, 16, width)
-            .map_err(|e| GsimError::Protocol(format!("bad peek value {hex:?}: {e}")))
-    }
-
-    fn load_mem(&mut self, name: &str, image: &[u64]) -> Result<(), GsimError> {
-        let mut line = String::with_capacity(6 + name.len() + image.len() * 9);
-        line.push_str("load ");
-        line.push_str(name);
-        for w in image {
-            line.push_str(&format!(" {w:x}"));
-        }
-        self.send(&line)?;
-        self.sync().map(|_| ())
-    }
-
-    fn step(&mut self, n: u64) -> Result<(), GsimError> {
-        self.send(&format!("step {n}"))?;
-        self.sync().map(|_| ())
-    }
-
-    #[allow(deprecated)] // the pipelined wire override must shadow the shim
-    fn run_driven(
-        &mut self,
-        n: u64,
-        drive: &mut dyn FnMut(u64, &mut SessionFrame),
-    ) -> Result<(), GsimError> {
-        let mut frame = SessionFrame::default();
-        // Local cycle mirror: `self.cycle` is only authoritative at
-        // fences, but `drive` needs the number of the cycle being
-        // staged inside a pipelined chunk.
-        let end = self.cycle + n;
-        let mut at = self.cycle;
-        // Stimulus errors do not cut the run short: as on the
-        // interpreter backend, the session still completes all `n`
-        // cycles, stimulus stops being driven, and the first error is
-        // reported at the end. (Within the chunk already in flight
-        // when the fence surfaces the error, later frames' valid
-        // pokes were applied — the pipelining trade-off the trait
-        // documents.) Only transport failures (`send` errors) abort.
-        let mut first_err: Option<GsimError> = None;
-        while at < end {
-            if first_err.is_none() {
-                frame.clear();
-                drive(at, &mut frame);
-                for (name, v) in frame.pokes() {
-                    self.send(&format!("poke {name} {v:x}"))?;
-                }
-            }
-            self.send("step 1")?;
-            at += 1;
-            self.unsynced += 1;
-            if self.unsynced >= SYNC_CHUNK || at == end {
-                if let Err(e) = self.sync() {
-                    if e.is_fatal() {
-                        return Err(e);
-                    }
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn trace_start(
-        &mut self,
-        signals: Option<&[String]>,
-        sink: Box<dyn gsim_wave::WaveSink>,
-    ) -> Result<(), GsimError> {
-        if self.router.is_some() {
-            return Err(GsimError::Config(
-                "a trace is already active on this session".into(),
-            ));
-        }
-        // Resolve the traced subset client-side so a typo is a typed
-        // error before any wire traffic, mirroring the in-process
-        // backends. The server re-validates, but its `err` would only
-        // surface at the next fence.
-        let all = self.signals()?;
-        let selected: Vec<SignalInfo> = match signals {
-            None => all,
-            Some(names) => names
-                .iter()
-                .map(|n| {
-                    all.iter()
-                        .find(|s| &s.name == n)
-                        .cloned()
-                        .ok_or_else(|| GsimError::UnknownSignal(n.clone()))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let mut cmd = String::from("trace on");
-        for s in &selected {
-            cmd.push(' ');
-            cmd.push_str(&s.name);
-        }
-        // The router mirrors the server's zero-width exclusion so the
-        // baseline completes.
-        let wave_sigs: Vec<gsim_wave::WaveSignal> = selected
-            .iter()
-            .filter(|s| s.width > 0)
-            .map(|s| gsim_wave::WaveSignal::new(&s.name, s.width))
-            .collect();
-        self.router = Some(gsim_wave::ChgRouter::new("top", wave_sigs, sink));
-        self.send(&cmd)?;
-        // The fence pulls the baseline burst through `next_line` into
-        // the router before returning.
-        match self.sync() {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                self.router = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn trace_stop(&mut self) -> Result<(), GsimError> {
-        if self.router.is_none() {
-            return Err(GsimError::Config(
-                "no trace is active on this session".into(),
-            ));
-        }
-        // `trace off` is silent on success; the fence both confirms it
-        // and pulls every record still queued in the pipe through
-        // `next_line` into the router before we tear it down.
-        let res = self.send("trace off").and_then(|()| self.sync());
-        let router = self.router.take().expect("checked above");
-        res?;
-        router.finish().map_err(|e| GsimError::Io(e.to_string()))
-    }
-
-    fn counters(&mut self) -> Result<Counters, GsimError> {
-        let line = self.query("counters")?;
-        let mut it = line.split_whitespace();
-        if it.next() != Some("counters") {
-            return Err(GsimError::Protocol(format!(
-                "bad counters response: {line}"
+    /// Fail-fast gate plus a cheap liveness probe: a child that died
+    /// since the last turn is reported as [`GsimError::SessionLost`]
+    /// before any pipe traffic.
+    fn check_alive(&mut self) -> Result<(), GsimError> {
+        self.fail_fast()?;
+        if let Ok(Some(status)) = self.child.try_wait() {
+            self.poisoned = true;
+            return Err(GsimError::SessionLost(format!(
+                "compiled simulator exited ({status})"
             )));
         }
-        let mut next = || -> Result<u64, GsimError> {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| GsimError::Protocol(format!("bad counters response: {line}")))
-        };
-        Ok(Counters {
-            cycles: next()?,
-            supernode_evals: next()?,
-            node_evals: next()?,
-            value_changes: next()?,
-            ..Counters::default()
-        })
+        Ok(())
     }
 
-    fn snapshot(&mut self) -> Result<SnapshotId, GsimError> {
-        let line = self.query("snapshot")?;
-        let mut it = line.split_whitespace();
-        let (Some("snap"), Some(id)) = (it.next(), it.next()) else {
-            return Err(GsimError::Protocol(format!(
-                "bad snapshot response: {line}"
-            )));
-        };
-        let raw: u64 = id
-            .parse()
-            .map_err(|_| GsimError::Protocol(format!("bad snapshot id: {line}")))?;
-        Ok(SnapshotId::from_raw(raw))
-    }
-
-    fn restore(&mut self, id: SnapshotId) -> Result<(), GsimError> {
-        self.send(&format!("restore {}", id.raw()))?;
-        // The fence also resynchronizes `cycle()` with the rolled-back
-        // server state.
-        self.sync().map(|_| ())
-    }
-
-    fn inputs(&mut self) -> Result<Vec<SignalInfo>, GsimError> {
-        let payload = self.list_line("inputs")?;
-        Self::parse_signal_list(&payload)
-    }
-
-    fn signals(&mut self) -> Result<Vec<SignalInfo>, GsimError> {
-        let payload = self.list_line("signals")?;
-        Self::parse_signal_list(&payload)
-    }
-
-    fn memories(&mut self) -> Result<Vec<MemoryInfo>, GsimError> {
-        let payload = self.list_line("mems")?;
-        payload
-            .split_whitespace()
-            .map(|tok| {
-                let mut it = tok.rsplitn(3, ':');
-                let width = it.next().and_then(|v| v.parse().ok());
-                let depth = it.next().and_then(|v| v.parse().ok());
-                let name = it.next();
-                match (name, depth, width) {
-                    (Some(n), Some(depth), Some(width)) => Ok(MemoryInfo {
-                        name: n.to_string(),
-                        depth,
-                        width,
-                    }),
-                    _ => Err(GsimError::Protocol(format!("bad list entry: {tok}"))),
-                }
-            })
-            .collect()
-    }
-
-    fn clone_at_snapshot(&mut self) -> Result<Box<dyn Session + Send>, GsimError> {
-        // Forking a compiled session costs one state export plus one
-        // process spawn from the *same* cached binary — `rustc` never
-        // runs again. The fork always gets a healthy environment (no
-        // inherited fault injection) so chaos plans apply only to the
-        // session they were opened with.
-        let blob = self.export_state()?.ok_or_else(|| {
-            GsimError::Unsupported("compiled simulator does not export state".into())
-        })?;
-        let mut fork = spawn_serve(
+    /// Spawns a sibling process from the *same* cached binary. The
+    /// fork always gets a healthy environment (no inherited fault
+    /// injection) so chaos plans apply only to the session they were
+    /// opened with.
+    fn fork(&mut self) -> Result<ChildPipe, GsimError> {
+        let mut pipe = spawn_serve(
             &self.binary,
             self.cwd.as_deref(),
             &FaultPlan::default(),
             Arc::clone(&self._dir),
         )
         .map_err(|e| GsimError::Backend(format!("cannot fork compiled session: {e}")))?;
-        fork.set_deadline(self.deadline);
-        fork.import_state(&blob)?;
-        Ok(Box::new(fork))
-    }
-
-    fn export_state(&mut self) -> Result<Option<Vec<u8>>, GsimError> {
-        let line = self.query("state")?;
-        let mut it = line.split_whitespace();
-        let (Some("state"), Some(_cycle), Some(blob)) = (it.next(), it.next(), it.next()) else {
-            return Err(GsimError::Protocol(format!("bad state response: {line}")));
-        };
-        Ok(Some(blob.as_bytes().to_vec()))
-    }
-
-    fn import_state(&mut self, state: &[u8]) -> Result<(), GsimError> {
-        let blob = std::str::from_utf8(state)
-            .map_err(|_| GsimError::Protocol("state blob is not ASCII".into()))?;
-        self.send(&format!("loadstate {blob}"))?;
-        // The fence surfaces a rejected blob and resynchronizes
-        // `cycle()` with the imported state.
-        self.sync().map(|_| ())
+        pipe.deadline = self.deadline;
+        Ok(pipe)
     }
 }

@@ -55,8 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[allow(deprecated)] // kept so downstream `Stimulus` users get the rename hint
-pub use gsim_codegen::Stimulus;
 pub use gsim_codegen::{AotRun, AotSession, AotSim, ArtifactCache, ArtifactKey};
 pub use gsim_graph::Graph;
 pub use gsim_passes::{PassOptions, PassStats};

@@ -1,26 +1,20 @@
-//! The service client: [`ClientSession`] implements the
-//! backend-agnostic [`Session`] trait over a socket to a running
-//! [`crate::Server`], so every harness written against
-//! `&mut dyn Session` — including the differential tests that pin the
-//! engines to the reference interpreter — drives a *remote* session
-//! unchanged.
+//! The service client: [`ClientSession`] is a [`gsim_sim::Session`]
+//! over a socket to a running [`crate::Server`], so every harness
+//! written against `&mut dyn Session` — including the differential
+//! tests that pin the engines to the reference interpreter — drives a
+//! *remote* session unchanged.
 //!
-//! The wire logic mirrors `gsim_codegen::AotSession` (same pipelined
-//! mutating commands, `sync` fences, one-round-trip queries), plus
-//! the three service commands: [`ClientSession::open_design`],
-//! [`ClientSession::stats`], and [`ClientSession::shutdown_server`].
+//! The session protocol is spoken by the workspace's one wire client,
+//! [`gsim_sim::WireSession`], over a [`SocketTransport`]; this file
+//! adds the four service verbs: [`ClientSession::open_design`],
+//! [`ClientSession::stats`], [`ClientSession::explore`], and
+//! [`ClientSession::shutdown_server`].
 
 use crate::net::{Endpoint, Stream};
 use crate::server::ServiceStats;
-use gsim_sim::{
-    Counters, GsimError, MemoryInfo, Scenario, Session, SessionFrame, SignalInfo, SnapshotId,
-};
-use gsim_value::Value;
+use gsim_sim::wire::Reply;
+use gsim_sim::{GsimError, Scenario, Transport, WireClient, WireSession};
 use std::io::{BufRead as _, BufReader, Write as _};
-
-/// Pipelined-cycle bound between `sync` fences (same rationale and
-/// value as the AoT session's chunking).
-const SYNC_CHUNK: u64 = 128;
 
 /// The server's answer to `design`: which artifact the session is
 /// bound to and how it was obtained.
@@ -39,15 +33,55 @@ pub struct DesignInfo {
 
 /// A remote simulation session on a running [`crate::Server`].
 #[derive(Debug)]
-pub struct ClientSession {
+pub struct ClientSession(WireSession<SocketTransport>);
+
+impl WireClient for ClientSession {
+    type Transport = SocketTransport;
+
+    fn wire(&self) -> &WireSession<SocketTransport> {
+        &self.0
+    }
+
+    fn wire_mut(&mut self) -> &mut WireSession<SocketTransport> {
+        &mut self.0
+    }
+}
+
+/// The [`Transport`] under a [`ClientSession`]: the two halves of one
+/// socket. A failed read or write is [`GsimError::Io`].
+#[derive(Debug)]
+pub struct SocketTransport {
     reader: BufReader<Stream>,
     writer: Stream,
-    cycle: u64,
-    unsynced: u64,
-    /// Reassembles unsolicited `chg` records into the caller's
-    /// [`gsim_wave::WaveSink`] while a trace subscription is active;
-    /// `None` when tracing is off.
-    router: Option<gsim_wave::ChgRouter>,
+}
+
+impl Transport for SocketTransport {
+    const BACKEND: &'static str = "client";
+
+    fn send(&mut self, bytes: &[u8]) -> Result<(), GsimError> {
+        self.writer
+            .write_all(bytes)
+            .map_err(|e| GsimError::Io(format!("server write: {e}")))
+    }
+
+    fn flush(&mut self) -> Result<(), GsimError> {
+        self.writer
+            .flush()
+            .map_err(|e| GsimError::Io(format!("server flush: {e}")))
+    }
+
+    fn recv(&mut self) -> Result<String, GsimError> {
+        let mut line = String::new();
+        let n = self
+            .reader
+            .read_line(&mut line)
+            .map_err(|e| GsimError::Io(format!("server read: {e}")))?;
+        if n == 0 {
+            return Err(GsimError::Io("server closed the connection".into()));
+        }
+        line.truncate(line.trim_end().len());
+        Ok(line)
+    }
 }
 
 impl ClientSession {
@@ -60,13 +94,11 @@ impl ClientSession {
     pub fn connect(ep: &Endpoint) -> std::io::Result<ClientSession> {
         let stream = Stream::connect(ep)?;
         let writer = stream.try_clone()?;
-        Ok(ClientSession {
-            reader: BufReader::new(stream),
+        let reader = BufReader::new(stream);
+        Ok(ClientSession(WireSession::new(SocketTransport {
+            reader,
             writer,
-            cycle: 0,
-            unsynced: 0,
-            router: None,
-        })
+        })))
     }
 
     /// Connects with bounded retry: up to `attempts` tries, sleeping
@@ -98,30 +130,25 @@ impl ClientSession {
     }
 
     /// Sends FIRRTL source and binds this session to the compiled
-    /// design. `backend` is `"aot"` (through the artifact cache) or
-    /// `"interp"`.
+    /// design. `backend` is `"aot"` (through the artifact cache),
+    /// `"interp"`, or `"jit"`.
     ///
     /// # Errors
     ///
     /// [`GsimError::Parse`] / [`GsimError::Compile`] travel back as
-    /// typed errors; transport failures are [`GsimError::Io`].
+    /// typed errors; [`GsimError::Protocol`] for a source over
+    /// [`gsim_sim::wire::MAX_UPLOAD_BYTES`] (nothing is sent); transport
+    /// failures are [`GsimError::Io`].
     pub fn open_design(&mut self, firrtl: &str, backend: &str) -> Result<DesignInfo, GsimError> {
-        self.send(&format!("design {} {backend}", firrtl.len()))?;
-        let w = self.writer()?;
-        w.write_all(firrtl.as_bytes())
-            .map_err(|e| GsimError::Io(format!("design upload: {e}")))?;
-        self.flush()?;
-        let line = self.next_line()?;
-        if line.starts_with("err ") {
-            return Err(GsimError::from_wire(&line));
-        }
+        let header = format_args!("design {} {backend}", firrtl.len());
+        let line = self.0.request(header, firrtl.as_bytes())?;
         let mut it = line.split_whitespace();
         let (Some("ready"), Some(key), Some(status), Some(ms)) =
             (it.next(), it.next(), it.next(), it.next())
         else {
             return Err(GsimError::Protocol(format!("bad ready response: {line}")));
         };
-        self.cycle = 0;
+        self.0.set_cycle(0);
         Ok(DesignInfo {
             key: key.to_string(),
             status: status.to_string(),
@@ -136,7 +163,7 @@ impl ClientSession {
     /// [`GsimError::Io`] on transport failure, [`GsimError::Protocol`]
     /// on a malformed response.
     pub fn stats(&mut self) -> Result<ServiceStats, GsimError> {
-        let line = self.query("stats")?;
+        let line = self.0.request("stats", &[])?;
         ServiceStats::parse_wire(&line)
             .ok_or_else(|| GsimError::Protocol(format!("bad stats response: {line}")))
     }
@@ -153,22 +180,16 @@ impl ClientSession {
     /// failures are [`GsimError::Io`].
     pub fn explore(&mut self, scenario: &Scenario, n: usize) -> Result<Vec<String>, GsimError> {
         let text = scenario.render();
-        self.send(&format!("explore {n} {}", text.len()))?;
-        let w = self.writer()?;
-        w.write_all(text.as_bytes())
-            .map_err(|e| GsimError::Io(format!("scenario upload: {e}")))?;
-        self.flush()?;
+        let header = format_args!("explore {n} {}", text.len());
+        let mut line = self.0.request(header, text.as_bytes())?;
         let mut branches = Vec::new();
         loop {
-            let line = self.next_line()?;
-            if line.starts_with("err ") {
-                return Err(GsimError::from_wire(&line));
-            }
-            if let Some(rest) = line.strip_prefix("ok") {
-                self.cycle = rest.trim().parse().unwrap_or(self.cycle);
+            if let Ok(Reply::Ok(cycle)) = Reply::parse(&line) {
+                self.0.set_cycle(cycle);
                 return Ok(branches);
             }
             branches.push(line);
+            line = self.0.response()?;
         }
     }
 
@@ -178,380 +199,12 @@ impl ClientSession {
     ///
     /// [`GsimError::Io`] on transport failure.
     pub fn shutdown_server(&mut self) -> Result<(), GsimError> {
-        let line = self.query("shutdown")?;
-        if line.starts_with("ok") {
-            Ok(())
-        } else {
-            Err(GsimError::Protocol(format!(
+        let line = self.0.request("shutdown", &[])?;
+        match Reply::parse(&line) {
+            Ok(Reply::Ok(_)) => Ok(()),
+            _ => Err(GsimError::Protocol(format!(
                 "bad shutdown response: {line}"
-            )))
+            ))),
         }
-    }
-
-    fn writer(&mut self) -> Result<&mut Stream, GsimError> {
-        Ok(&mut self.writer)
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), GsimError> {
-        let w = self.writer()?;
-        writeln!(w, "{line}").map_err(|e| GsimError::Io(format!("server write: {e}")))
-    }
-
-    fn flush(&mut self) -> Result<(), GsimError> {
-        self.writer()?
-            .flush()
-            .map_err(|e| GsimError::Io(format!("server flush: {e}")))
-    }
-
-    fn read_line(&mut self) -> Result<String, GsimError> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| GsimError::Io(format!("server read: {e}")))?;
-        if n == 0 {
-            return Err(GsimError::Io("server closed the connection".into()));
-        }
-        Ok(line.trim_end().to_string())
-    }
-
-    /// Reads the next *response* line: unsolicited `chg` trace records
-    /// are routed into the active wave subscription (or dropped when
-    /// none is active — a defensive guard, the server only streams
-    /// after `trace on`) so protocol readers see exactly the line
-    /// counts the command grammar promises.
-    fn next_line(&mut self) -> Result<String, GsimError> {
-        loop {
-            let line = self.read_line()?;
-            if line.starts_with("chg ") {
-                if let Some(router) = self.router.as_mut() {
-                    router.feed(&line);
-                }
-                continue;
-            }
-            return Ok(line);
-        }
-    }
-
-    /// Fences the pipeline: `sync`, drain queued `err` lines until the
-    /// matching `ok`, resynchronize the local cycle mirror.
-    fn sync(&mut self) -> Result<u64, GsimError> {
-        self.send("sync")?;
-        self.flush()?;
-        self.unsynced = 0;
-        let mut first_err = None;
-        let server_cycle;
-        loop {
-            let line = self.next_line()?;
-            if let Some(rest) = line.strip_prefix("ok") {
-                server_cycle = rest.trim().parse().unwrap_or(self.cycle);
-                break;
-            }
-            if line.starts_with("err ") && first_err.is_none() {
-                first_err = Some(GsimError::from_wire(&line));
-            }
-        }
-        self.cycle = server_cycle;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(server_cycle),
-        }
-    }
-
-    /// One query round trip (stream fenced — every public method
-    /// maintains that invariant).
-    fn query(&mut self, req: &str) -> Result<String, GsimError> {
-        self.send(req)?;
-        self.flush()?;
-        let line = self.next_line()?;
-        if line.starts_with("err ") {
-            return Err(GsimError::from_wire(&line));
-        }
-        Ok(line)
-    }
-
-    /// `list` round trip returning the payload of the `want` line.
-    fn list_line(&mut self, want: &str) -> Result<String, GsimError> {
-        self.send("list")?;
-        self.flush()?;
-        let mut found = None;
-        for expect in ["inputs", "signals", "mems"] {
-            let line = self.next_line()?;
-            if line.starts_with("err ") {
-                return Err(GsimError::from_wire(&line));
-            }
-            let Some(rest) = line.strip_prefix(expect) else {
-                return Err(GsimError::Protocol(format!("bad list response: {line}")));
-            };
-            if expect == want {
-                found = Some(rest.trim().to_string());
-            }
-        }
-        found.ok_or_else(|| GsimError::Protocol("list response incomplete".into()))
-    }
-
-    fn parse_signal_list(payload: &str) -> Result<Vec<SignalInfo>, GsimError> {
-        payload
-            .split_whitespace()
-            .map(|tok| {
-                let (name, width) = tok
-                    .rsplit_once(':')
-                    .ok_or_else(|| GsimError::Protocol(format!("bad list entry: {tok}")))?;
-                let width = width
-                    .parse()
-                    .map_err(|_| GsimError::Protocol(format!("bad list width: {tok}")))?;
-                Ok(SignalInfo {
-                    name: name.to_string(),
-                    width,
-                })
-            })
-            .collect()
-    }
-}
-
-impl Session for ClientSession {
-    fn backend(&self) -> &'static str {
-        "client"
-    }
-
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn poke(&mut self, name: &str, v: Value) -> Result<(), GsimError> {
-        self.send(&format!("poke {name} {v:x}"))?;
-        self.sync().map(|_| ())
-    }
-
-    fn peek(&mut self, name: &str) -> Result<Value, GsimError> {
-        let line = self.query(&format!("peek {name}"))?;
-        let mut it = line.split_whitespace();
-        let (Some("val"), Some(w), Some(hex)) = (it.next(), it.next(), it.next()) else {
-            return Err(GsimError::Protocol(format!("bad peek response: {line}")));
-        };
-        let width: u32 = w
-            .parse()
-            .map_err(|_| GsimError::Protocol(format!("bad peek width: {line}")))?;
-        Value::from_str_radix(hex, 16, width)
-            .map_err(|e| GsimError::Protocol(format!("bad peek value {hex:?}: {e}")))
-    }
-
-    fn load_mem(&mut self, name: &str, image: &[u64]) -> Result<(), GsimError> {
-        let mut line = String::with_capacity(6 + name.len() + image.len() * 9);
-        line.push_str("load ");
-        line.push_str(name);
-        for w in image {
-            line.push_str(&format!(" {w:x}"));
-        }
-        self.send(&line)?;
-        self.sync().map(|_| ())
-    }
-
-    fn step(&mut self, n: u64) -> Result<(), GsimError> {
-        self.send(&format!("step {n}"))?;
-        self.sync().map(|_| ())
-    }
-
-    #[allow(deprecated)] // the pipelined wire override must shadow the shim
-    fn run_driven(
-        &mut self,
-        n: u64,
-        drive: &mut dyn FnMut(u64, &mut SessionFrame),
-    ) -> Result<(), GsimError> {
-        let mut frame = SessionFrame::default();
-        let end = self.cycle + n;
-        let mut at = self.cycle;
-        // Same error discipline as the AoT session: stimulus errors do
-        // not cut the run short (first one reported at the end); only
-        // fatal transport errors abort.
-        let mut first_err: Option<GsimError> = None;
-        while at < end {
-            if first_err.is_none() {
-                frame.clear();
-                drive(at, &mut frame);
-                for (name, v) in frame.pokes() {
-                    self.send(&format!("poke {name} {v:x}"))?;
-                }
-            }
-            self.send("step 1")?;
-            at += 1;
-            self.unsynced += 1;
-            if self.unsynced >= SYNC_CHUNK || at == end {
-                if let Err(e) = self.sync() {
-                    if e.is_fatal() {
-                        return Err(e);
-                    }
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn counters(&mut self) -> Result<Counters, GsimError> {
-        let line = self.query("counters")?;
-        let mut it = line.split_whitespace();
-        if it.next() != Some("counters") {
-            return Err(GsimError::Protocol(format!(
-                "bad counters response: {line}"
-            )));
-        }
-        let mut next = || -> Result<u64, GsimError> {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| GsimError::Protocol(format!("bad counters response: {line}")))
-        };
-        Ok(Counters {
-            cycles: next()?,
-            supernode_evals: next()?,
-            node_evals: next()?,
-            value_changes: next()?,
-            ..Counters::default()
-        })
-    }
-
-    fn snapshot(&mut self) -> Result<SnapshotId, GsimError> {
-        let line = self.query("snapshot")?;
-        let mut it = line.split_whitespace();
-        let (Some("snap"), Some(id)) = (it.next(), it.next()) else {
-            return Err(GsimError::Protocol(format!(
-                "bad snapshot response: {line}"
-            )));
-        };
-        let raw: u64 = id
-            .parse()
-            .map_err(|_| GsimError::Protocol(format!("bad snapshot id: {line}")))?;
-        Ok(SnapshotId::from_raw(raw))
-    }
-
-    fn restore(&mut self, id: SnapshotId) -> Result<(), GsimError> {
-        self.send(&format!("restore {}", id.raw()))?;
-        self.sync().map(|_| ())
-    }
-
-    fn trace_start(
-        &mut self,
-        signals: Option<&[String]>,
-        sink: Box<dyn gsim_wave::WaveSink>,
-    ) -> Result<(), GsimError> {
-        if self.router.is_some() {
-            return Err(GsimError::Config(
-                "a trace is already active on this session".into(),
-            ));
-        }
-        // Resolve the traced subset client-side so a typo is a typed
-        // error before any wire traffic, mirroring `AotSession`. The
-        // server re-validates, but its `err` would only surface at
-        // the next fence.
-        let all = self.signals()?;
-        let selected: Vec<SignalInfo> = match signals {
-            None => all,
-            Some(subset) => subset
-                .iter()
-                .map(|name| {
-                    all.iter()
-                        .find(|s| &s.name == name)
-                        .cloned()
-                        .ok_or_else(|| GsimError::UnknownSignal(name.clone()))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let mut cmd = String::from("trace on");
-        for s in &selected {
-            cmd.push(' ');
-            cmd.push_str(&s.name);
-        }
-        // The router mirrors the server's zero-width exclusion so the
-        // baseline completes.
-        let wave_sigs: Vec<gsim_wave::WaveSignal> = selected
-            .iter()
-            .filter(|s| s.width > 0)
-            .map(|s| gsim_wave::WaveSignal::new(&s.name, s.width))
-            .collect();
-        self.router = Some(gsim_wave::ChgRouter::new("top", wave_sigs, sink));
-        self.send(&cmd)?;
-        // The fence pulls the baseline burst through `next_line` into
-        // the router before returning.
-        match self.sync() {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                self.router = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn trace_stop(&mut self) -> Result<(), GsimError> {
-        if self.router.is_none() {
-            return Err(GsimError::Config(
-                "no trace is active on this session".into(),
-            ));
-        }
-        // `trace off` is silent on success; the fence both confirms it
-        // and pulls every record still queued in the pipe through
-        // `next_line` into the router before we tear it down.
-        let res = self
-            .send("trace off")
-            .and_then(|()| self.sync().map(|_| ()));
-        let router = self.router.take().expect("checked above");
-        res?;
-        router.finish().map_err(|e| GsimError::Io(e.to_string()))
-    }
-
-    fn inputs(&mut self) -> Result<Vec<SignalInfo>, GsimError> {
-        let payload = self.list_line("inputs")?;
-        Self::parse_signal_list(&payload)
-    }
-
-    fn signals(&mut self) -> Result<Vec<SignalInfo>, GsimError> {
-        let payload = self.list_line("signals")?;
-        Self::parse_signal_list(&payload)
-    }
-
-    fn export_state(&mut self) -> Result<Option<Vec<u8>>, GsimError> {
-        let line = match self.query("state") {
-            // The server signals a non-exporting backend with a
-            // `config` error; the trait contract for that is `None`.
-            Err(GsimError::Config(_)) => return Ok(None),
-            other => other?,
-        };
-        let mut it = line.split_whitespace();
-        let (Some("state"), Some(_cycle), Some(blob)) = (it.next(), it.next(), it.next()) else {
-            return Err(GsimError::Protocol(format!("bad state response: {line}")));
-        };
-        Ok(Some(blob.as_bytes().to_vec()))
-    }
-
-    fn import_state(&mut self, state: &[u8]) -> Result<(), GsimError> {
-        let blob = std::str::from_utf8(state)
-            .map_err(|_| GsimError::Protocol("state blob is not ASCII".into()))?;
-        self.send(&format!("loadstate {blob}"))?;
-        // The fence surfaces a rejected blob and resynchronizes the
-        // local cycle mirror with the imported state's cycle count.
-        self.sync().map(|_| ())
-    }
-
-    fn memories(&mut self) -> Result<Vec<MemoryInfo>, GsimError> {
-        let payload = self.list_line("mems")?;
-        payload
-            .split_whitespace()
-            .map(|tok| {
-                let mut it = tok.rsplitn(3, ':');
-                let width = it.next().and_then(|v| v.parse().ok());
-                let depth = it.next().and_then(|v| v.parse().ok());
-                let name = it.next();
-                match (name, depth, width) {
-                    (Some(n), Some(depth), Some(width)) => Ok(MemoryInfo {
-                        name: n.to_string(),
-                        depth,
-                        width,
-                    }),
-                    _ => Err(GsimError::Protocol(format!("bad list entry: {tok}"))),
-                }
-            })
-            .collect()
     }
 }

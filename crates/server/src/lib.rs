@@ -57,6 +57,6 @@ pub mod proto;
 mod client;
 mod server;
 
-pub use client::{ClientSession, DesignInfo};
+pub use client::{ClientSession, DesignInfo, SocketTransport};
 pub use net::Endpoint;
 pub use server::{Server, ServerConfig, ServiceStats};

@@ -1,11 +1,12 @@
 //! The wire ↔ [`Session`] bridge: one implementation of the line
 //! protocol's server side over any `Box<dyn Session>`, so the service
 //! serves the AoT backend (a persistent compiled process) and the
-//! interpreter engines through the same loop — and stays, by
-//! construction, semantically identical to the protocol loop the
-//! emitted binary runs in `--serve` mode.
+//! interpreter engines through the same loop. It dispatches on the
+//! same [`gsim_sim::wire::Command`] the emitted binary's `--serve`
+//! loop does; `tests/session_api.rs` holds the two loops' reply
+//! streams byte-identical.
 //!
-//! Semantics (documented in full on [`gsim_sim::Session`]): mutating
+//! Semantics (documented in full in [`gsim_sim::wire`]): mutating
 //! commands (`poke`, `load`, `step`, `restore`, `loadstate`, `trace`)
 //! are silent on success and *queue* their errors; `sync` drains the
 //! queue (in command order) and answers `ok <cycle>`; queries
@@ -22,21 +23,11 @@
 //! precede the next command response that could observe the
 //! post-change state.
 
-use gsim_sim::{GsimError, Session};
+use gsim_sim::wire::{self, Command, Reply, WireError};
+use gsim_sim::{GsimError, Session, SnapshotId};
 use gsim_value::Value;
 use gsim_wave::{LineSink, SharedBuf};
 use std::io::Write;
-
-/// What [`SessionProto::handle_line`] did with a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
-    /// The line was a simulation-protocol command and was processed.
-    Handled,
-    /// Not a simulation-protocol command; the caller owns it (the
-    /// service layer handles `design`/`stats`/`shutdown` and rejects
-    /// the rest via [`SessionProto::reject`]).
-    Unhandled,
-}
 
 /// Per-connection protocol state: the queued-error buffer that gives
 /// mutating commands their pipelined, silent-on-success semantics,
@@ -56,10 +47,11 @@ impl SessionProto {
         SessionProto::default()
     }
 
-    /// Queues an error against the next `sync` fence (used for
-    /// mutating commands and protocol violations).
-    pub fn reject(&mut self, e: &GsimError) {
-        self.queued.push(e.to_wire());
+    /// Holds a mutating command's error for the next `sync` fence.
+    fn queue(&mut self, r: Result<(), GsimError>) {
+        if let Err(e) = r {
+            self.queued.push(e.to_wire());
+        }
     }
 
     /// Drains any `chg` records the active trace sink staged since
@@ -87,6 +79,21 @@ impl SessionProto {
         out.flush()
     }
 
+    /// Answers a line that did not parse: immediately when the peer
+    /// is owed a response line, else at the next `sync`.
+    ///
+    /// # Errors
+    ///
+    /// The transport's write error.
+    pub fn reject_line(&mut self, e: &WireError, out: &mut impl Write) -> std::io::Result<()> {
+        if e.query {
+            writeln!(out, "{}", e.reply())?;
+            return out.flush();
+        }
+        self.queued.push(e.reply());
+        Ok(())
+    }
+
     /// Dispatches one protocol line against `sess`, writing any
     /// response to `out`.
     ///
@@ -99,199 +106,121 @@ impl SessionProto {
         sess: &mut dyn Session,
         line: &str,
         out: &mut impl Write,
-    ) -> std::io::Result<Flow> {
-        let mut it = line.split_whitespace();
-        match it.next() {
-            Some("poke") => {
-                let (Some(name), Some(hex)) = (it.next(), it.next()) else {
-                    self.queued
-                        .push(GsimError::Protocol(format!("bad poke: {line}")).to_wire());
-                    return Ok(Flow::Handled);
-                };
-                // Parse at the hex digits' natural width; the backend
-                // zero-extends or truncates to the input's declared
-                // width (the trait's poke contract).
-                let width = (hex.len() as u32 * 4).max(1);
-                match Value::from_str_radix(hex, 16, width) {
-                    Ok(v) => {
-                        if let Err(e) = sess.poke(name, v) {
-                            self.queued.push(e.to_wire());
-                        }
-                    }
-                    Err(_) => self
-                        .queued
-                        .push(GsimError::Protocol(format!("bad poke value: {hex}")).to_wire()),
-                }
+    ) -> std::io::Result<()> {
+        let cmd = match Command::parse(line) {
+            Ok(cmd) => cmd,
+            Err(e) => return self.reject_line(&e, out),
+        };
+        // A query's one response line: its reply, or its error. (A
+        // mutating command's error waits in `queue` for the fence.)
+        fn answer(
+            out: &mut impl Write,
+            reply: Result<Reply<'_>, GsimError>,
+        ) -> std::io::Result<()> {
+            match reply {
+                Ok(reply) => writeln!(out, "{reply}")?,
+                Err(e) => writeln!(out, "{}", e.to_wire())?,
             }
-            Some("load") => {
-                let Some(name) = it.next() else {
-                    self.queued
-                        .push(GsimError::Protocol(format!("bad load: {line}")).to_wire());
-                    return Ok(Flow::Handled);
-                };
-                let mut image = Vec::new();
-                let mut bad = false;
-                for tok in it {
-                    match u64::from_str_radix(tok, 16) {
-                        Ok(w) => image.push(w),
-                        Err(_) => {
-                            bad = true;
-                            break;
-                        }
-                    }
-                }
-                if bad {
-                    self.queued
-                        .push(GsimError::Protocol(format!("bad load word in: {line}")).to_wire());
-                } else if let Err(e) = sess.load_mem(name, &image) {
-                    self.queued.push(e.to_wire());
-                }
-            }
-            Some("step") => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or(1);
-                if let Err(e) = sess.step(n) {
-                    self.queued.push(e.to_wire());
-                }
-                self.drain_trace(out)?;
-            }
-            Some("restore") => {
-                let raw: u64 = it.next().and_then(|v| v.parse().ok()).unwrap_or(u64::MAX);
-                if let Err(e) = sess.restore(gsim_sim::SnapshotId::from_raw(raw)) {
-                    self.queued.push(e.to_wire());
-                }
-                self.drain_trace(out)?;
-            }
-            Some("peek") => {
-                let name = it.next().unwrap_or("");
-                match sess.peek(name) {
-                    Ok(v) => writeln!(out, "val {} {v:x}", v.width())?,
-                    Err(e) => writeln!(out, "{}", e.to_wire())?,
-                }
-                out.flush()?;
-            }
-            Some("counters") => {
-                match sess.counters() {
-                    Ok(c) => writeln!(
-                        out,
-                        "counters {} {} {} {}",
-                        c.cycles, c.supernode_evals, c.node_evals, c.value_changes
-                    )?,
-                    Err(e) => writeln!(out, "{}", e.to_wire())?,
-                }
-                out.flush()?;
-            }
-            Some("snapshot") => {
-                match sess.snapshot() {
-                    Ok(id) => writeln!(out, "snap {}", id.raw())?,
-                    Err(e) => writeln!(out, "{}", e.to_wire())?,
-                }
-                out.flush()?;
-            }
-            Some("state") => {
-                match sess.export_state() {
-                    Ok(Some(blob)) => writeln!(
-                        out,
-                        "state {} {}",
-                        sess.cycle(),
-                        String::from_utf8_lossy(&blob)
-                    )?,
-                    Ok(None) => writeln!(
-                        out,
-                        "{}",
-                        GsimError::Config("this backend does not export state".into()).to_wire()
-                    )?,
-                    Err(e) => writeln!(out, "{}", e.to_wire())?,
-                }
-                out.flush()?;
-            }
-            Some("loadstate") => {
-                let blob = it.next().unwrap_or("");
-                if let Err(e) = sess.import_state(blob.as_bytes()) {
-                    self.queued.push(e.to_wire());
-                }
-                self.drain_trace(out)?;
-            }
-            Some("trace") => match it.next() {
-                Some("on") => {
-                    if self.trace_buf.is_some() {
-                        self.queued.push(
-                            GsimError::Config("a trace is already active on this session".into())
-                                .to_wire(),
-                        );
-                        return Ok(Flow::Handled);
-                    }
-                    let names: Vec<String> = it.map(str::to_string).collect();
-                    let buf = SharedBuf::new();
-                    // The session validates the subset (typed
-                    // `unknown-signal` surfaces at the next fence) and
-                    // writes the baseline burst into the sink on
-                    // success; drain it so the burst precedes
-                    // everything that follows.
-                    match sess.trace_start(
-                        (!names.is_empty()).then_some(names.as_slice()),
-                        Box::new(LineSink::new(buf.clone())),
-                    ) {
-                        Ok(()) => {
-                            self.trace_buf = Some(buf);
-                            self.drain_trace(out)?;
-                        }
-                        Err(e) => self.queued.push(e.to_wire()),
-                    }
-                }
-                Some("off") => {
-                    if self.trace_buf.is_none() {
-                        self.queued.push(
-                            GsimError::Config("no trace is active on this session".into())
-                                .to_wire(),
-                        );
-                        return Ok(Flow::Handled);
-                    }
-                    if let Err(e) = sess.trace_stop() {
-                        self.queued.push(e.to_wire());
-                    }
-                    // Flush whatever the sink staged up to the stop,
-                    // then drop the subscription.
-                    self.drain_trace(out)?;
-                    self.trace_buf = None;
-                }
-                _ => self
-                    .queued
-                    .push(GsimError::Protocol(format!("bad trace: {line}")).to_wire()),
-            },
-            Some("list") => {
-                match (sess.inputs(), sess.signals(), sess.memories()) {
-                    (Ok(ins), Ok(sigs), Ok(mems)) => {
-                        let fmt_sigs = |v: &[gsim_sim::SignalInfo]| {
-                            v.iter()
-                                .map(|s| format!(" {}:{}", s.name, s.width))
-                                .collect::<String>()
-                        };
-                        writeln!(out, "inputs{}", fmt_sigs(&ins))?;
-                        writeln!(out, "signals{}", fmt_sigs(&sigs))?;
-                        let mems: String = mems
-                            .iter()
-                            .map(|m| format!(" {}:{}:{}", m.name, m.depth, m.width))
-                            .collect();
-                        writeln!(out, "mems{mems}")?;
-                    }
-                    (r, s, m) => {
-                        let e = [
-                            r.err().map(|e| e.to_wire()),
-                            s.err().map(|e| e.to_wire()),
-                            m.err().map(|e| e.to_wire()),
-                        ]
-                        .into_iter()
-                        .flatten()
-                        .next()
-                        .expect("at least one error");
-                        writeln!(out, "{e}")?;
-                    }
-                }
-                out.flush()?;
-            }
-            Some("sync") => self.sync(sess.cycle(), out)?,
-            _ => return Ok(Flow::Unhandled),
+            out.flush()
         }
-        Ok(Flow::Handled)
+        match cmd {
+            Command::Poke { name, hex } => {
+                // The value travels at the hex digits' natural width;
+                // the backend zero-extends or truncates to the input's
+                // declared width (the trait's poke contract).
+                let words = wire::parse_hex(hex).unwrap_or_default();
+                let v = Value::from_words(words, hex.len() as u32 * 4);
+                self.queue(sess.poke(name, v));
+            }
+            Command::Load { mem, image } => self.queue(sess.load_mem(mem, &image)),
+            Command::Step(n) => {
+                self.queue(sess.step(n));
+                self.drain_trace(out)?;
+            }
+            Command::Restore(id) => {
+                self.queue(sess.restore(SnapshotId::from_raw(id)));
+                self.drain_trace(out)?;
+            }
+            Command::LoadState(blob) => {
+                self.queue(sess.import_state(blob.as_bytes()));
+                self.drain_trace(out)?;
+            }
+            Command::Peek(name) => match sess.peek(name) {
+                Ok(v) => {
+                    let (width, hex) = (v.width(), format!("{v:x}"));
+                    answer(out, Ok(Reply::Val { width, hex: &hex }))?;
+                }
+                Err(e) => answer(out, Err(e))?,
+            },
+            Command::Counters => answer(
+                out,
+                sess.counters().map(|c| {
+                    Reply::Counters([c.cycles, c.supernode_evals, c.node_evals, c.value_changes])
+                }),
+            )?,
+            Command::Snapshot => answer(out, sess.snapshot().map(|id| Reply::Snap(id.raw())))?,
+            Command::State => {
+                let blob = sess.export_state().and_then(|blob| {
+                    blob.ok_or_else(|| {
+                        GsimError::Config("this backend does not export state".into())
+                    })
+                });
+                match blob {
+                    Ok(blob) => {
+                        let (cycle, blob) = (sess.cycle(), String::from_utf8_lossy(&blob));
+                        answer(out, Ok(Reply::State { cycle, blob: &blob }))?;
+                    }
+                    Err(e) => answer(out, Err(e))?,
+                }
+            }
+            Command::List => {
+                let all = (|| Ok((sess.inputs()?, sess.signals()?, sess.memories()?)))();
+                match all {
+                    Ok((ins, sigs, mems)) => {
+                        fn pairs(v: &[gsim_sim::SignalInfo]) -> Vec<(&str, u32)> {
+                            v.iter().map(|s| (s.name.as_str(), s.width)).collect()
+                        }
+                        writeln!(out, "{}", Reply::Inputs(pairs(&ins)))?;
+                        writeln!(out, "{}", Reply::Signals(pairs(&sigs)))?;
+                        let mems = mems.iter().map(|m| (m.name.as_str(), m.depth, m.width));
+                        answer(out, Ok(Reply::Mems(mems.collect())))?;
+                    }
+                    Err(e) => answer(out, Err(e))?,
+                }
+            }
+            Command::TraceOn(names) => {
+                let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+                let buf = SharedBuf::new();
+                // The session refuses a second trace and validates
+                // the subset (typed errors surface at the next fence),
+                // and writes the baseline burst into the sink on
+                // success; drain it so the burst precedes everything
+                // that follows.
+                match sess.trace_start(
+                    (!names.is_empty()).then_some(names.as_slice()),
+                    Box::new(LineSink::new(buf.clone())),
+                ) {
+                    Ok(()) => {
+                        self.trace_buf = Some(buf);
+                        self.drain_trace(out)?;
+                    }
+                    Err(e) => self.queue(Err(e)),
+                }
+            }
+            Command::TraceOff => {
+                self.queue(sess.trace_stop());
+                // Flush whatever the sink staged up to the stop, then
+                // drop the subscription.
+                self.drain_trace(out)?;
+                self.trace_buf = None;
+            }
+            Command::Sync => self.sync(sess.cycle(), out)?,
+            // A service session ends when its stream closes; `exit` is
+            // for the emitted binary's stdin loop.
+            Command::Exit => self.queue(Err(GsimError::Protocol(
+                "exit is not a service command: close the connection".into(),
+            ))),
+        }
+        Ok(())
     }
 }

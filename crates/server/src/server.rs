@@ -17,14 +17,15 @@
 //! timeout.
 
 use crate::net::{Endpoint, Listener, Stream};
-use crate::proto::{Flow, SessionProto};
+use crate::proto::SessionProto;
 use gsim_codegen::{AotOptions, ArtifactCache, ArtifactKey, CacheStats};
+use gsim_sim::wire::{self, Command, LineRead, WireError};
 use gsim_sim::{
     ExploreOptions, Explorer, FaultPlan, GsimError, Scenario, Session, SessionFactory, SimOptions,
     Simulator, SuperviseOptions, SupervisedSession,
 };
 use std::collections::HashMap;
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::io::{BufReader, Read, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -369,14 +370,18 @@ fn session_loop(
     let mut session: Option<Box<dyn Session>> = None;
     let mut cmds: u64 = 0;
 
+    let mut buf = Vec::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
+        match wire::read_line(&mut reader, &mut buf) {
+            Ok(LineRead::Eof) => return Ok(()), // client hung up
+            Ok(LineRead::Line) => {}
+            Ok(LineRead::TooLong) => {
+                proto.reject_line(&WireError::line_too_long(), &mut writer)?;
+                continue;
+            }
             Err(e)
                 if matches!(
                     e.kind(),
@@ -392,96 +397,113 @@ fn session_loop(
             }
             Err(e) => return Err(e),
         }
-        let line = line.trim_end();
-        if !line.is_empty() {
-            cmds += 1;
-            if faults.reset_session_at_cmd == Some(cmds) {
-                // Injected connection reset: drop both stream halves
-                // without a farewell, like a yanked network cable.
-                return Ok(());
-            }
-            if faults.panic_session_at_cmd == Some(cmds) {
-                panic!("injected fault: session panic at command {cmds}");
-            }
+        let line = String::from_utf8_lossy(&buf);
+        if line.is_empty() {
+            continue;
         }
+        cmds += 1;
+        if faults.reset_session_at_cmd == Some(cmds) {
+            // Injected connection reset: drop both stream halves
+            // without a farewell, like a yanked network cable.
+            return Ok(());
+        }
+        if faults.panic_session_at_cmd == Some(cmds) {
+            panic!("injected fault: session panic at command {cmds}");
+        }
+        // The service's own verbs (second table in `gsim_sim::wire`)
+        // each answer exactly one response; every other line belongs
+        // to the session grammar.
         let mut it = line.split_whitespace();
-        match it.next() {
-            Some("design") => {
-                let nbytes: usize = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                let backend = it.next().unwrap_or("aot").to_string();
-                let mut src = vec![0u8; nbytes];
-                reader.read_exact(&mut src)?;
-                let src = String::from_utf8_lossy(&src).into_owned();
-                let start = Instant::now();
-                match open_design(shared, &src, &backend, scratch) {
-                    Ok((sess, key, status)) => {
-                        session = Some(sess);
-                        let ms = start.elapsed().as_millis();
-                        writeln!(writer, "ready {key} {status} {ms}")?;
-                    }
-                    Err(e) => writeln!(writer, "{}", e.to_wire())?,
+        let verb = it.next().unwrap_or_default();
+        let reply = match verb {
+            "design" => match upload_size(verb, it.next()) {
+                Ok(nbytes) => {
+                    let src = read_upload(&mut reader, nbytes)?;
+                    let src = String::from_utf8_lossy(&src);
+                    let start = Instant::now();
+                    open_design(shared, &src, it.next().unwrap_or("aot"), scratch).map(
+                        |(sess, key, status)| {
+                            session = Some(sess);
+                            format!("ready {key} {status} {}", start.elapsed().as_millis())
+                        },
+                    )
                 }
-                writer.flush()?;
-            }
-            Some("explore") => {
-                let n: usize = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                let nbytes: usize = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                let mut payload = vec![0u8; nbytes];
-                reader.read_exact(&mut payload)?;
-                match session.as_deref_mut() {
-                    Some(sess) => match run_explore(sess, &payload, n) {
-                        Ok(report) => {
-                            for b in &report.branches {
-                                writeln!(writer, "{}", b.render_wire())?;
-                            }
-                            writeln!(writer, "ok {}", sess.cycle())?;
+                Err(e) => Err(e),
+            },
+            "explore" => match (it.next().and_then(|v| v.parse().ok()), it.next()) {
+                (Some(n), nbytes) => match upload_size(verb, nbytes) {
+                    Ok(nbytes) => {
+                        let payload = read_upload(&mut reader, nbytes)?;
+                        match session.as_deref_mut() {
+                            Some(sess) => run_explore(sess, &payload, n).map(|report| {
+                                let branches = report.branches.iter();
+                                let mut lines: String =
+                                    branches.map(|b| b.render_wire() + "\n").collect();
+                                lines.push_str(&format!("ok {}", sess.cycle()));
+                                lines
+                            }),
+                            None => Err(GsimError::Protocol("no design loaded".into())),
                         }
-                        Err(e) => writeln!(writer, "{}", e.to_wire())?,
-                    },
-                    None => writeln!(
-                        writer,
-                        "{}",
-                        GsimError::Protocol("no design loaded".into()).to_wire()
-                    )?,
-                }
-                writer.flush()?;
-            }
-            Some("stats") => {
-                writeln!(writer, "{}", shared.stats().render_wire())?;
-                writer.flush()?;
-            }
-            Some("shutdown") => {
+                    }
+                    Err(e) => Err(e),
+                },
+                (None, _) => Err(GsimError::Protocol("explore needs <n> <nbytes>".into())),
+            },
+            "stats" => Ok(shared.stats().render_wire()),
+            "shutdown" => {
                 let cycle = session.as_ref().map(|s| s.cycle()).unwrap_or(0);
                 writeln!(writer, "ok {cycle}")?;
                 writer.flush()?;
                 shared.trigger_stop();
                 return Ok(());
             }
-            Some(_) => match session.as_deref_mut() {
-                Some(sess) => {
-                    if proto.handle_line(sess, line, &mut writer)? == Flow::Unhandled {
-                        proto.reject(&GsimError::Protocol(format!("unknown command: {line}")));
-                    }
+            _ => {
+                match session.as_deref_mut() {
+                    Some(sess) => proto.handle_line(sess, &line, &mut writer)?,
+                    // No design bound yet: queries answer immediately,
+                    // mutating commands queue, `sync` fences — same shape
+                    // as a bound session, so pipelined clients never hang.
+                    None => match Command::parse(&line) {
+                        Ok(Command::Sync) => proto.sync(0, &mut writer)?,
+                        Ok(cmd) => proto.reject_line(
+                            &WireError {
+                                msg: "no design loaded".into(),
+                                query: cmd.is_query(),
+                            },
+                            &mut writer,
+                        )?,
+                        Err(e) => proto.reject_line(&e, &mut writer)?,
+                    },
                 }
-                // No design bound yet: queries answer immediately,
-                // mutating commands queue, `sync` fences — same shape
-                // as a bound session, so pipelined clients never hang.
-                None => match line.split_whitespace().next() {
-                    Some("sync") => proto.sync(0, &mut writer)?,
-                    Some("peek" | "counters" | "snapshot" | "list") => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            GsimError::Protocol("no design loaded".into()).to_wire()
-                        )?;
-                        writer.flush()?;
-                    }
-                    _ => proto.reject(&GsimError::Protocol("no design loaded".into())),
-                },
-            },
-            None => {} // blank line
+                continue;
+            }
+        };
+        match reply {
+            Ok(reply) => writeln!(writer, "{reply}")?,
+            Err(e) => writeln!(writer, "{}", e.to_wire())?,
         }
+        writer.flush()?;
     }
+}
+
+/// The announced size of a `design` / `explore` payload, checked
+/// against [`wire::MAX_UPLOAD_BYTES`] before a byte of it is read.
+fn upload_size(verb: &str, tok: Option<&str>) -> Result<usize, GsimError> {
+    let nbytes = tok
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| GsimError::Protocol(format!("{verb} needs <nbytes>")))?;
+    Ok(wire::check_upload(nbytes)?)
+}
+
+/// Reads an upload of exactly `nbytes`. The buffer grows with the
+/// bytes that actually arrive, not with the size the peer announced.
+fn read_upload(reader: &mut impl Read, nbytes: usize) -> std::io::Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    reader.take(nbytes as u64).read_to_end(&mut payload)?;
+    if payload.len() < nbytes {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(payload)
 }
 
 /// Serves one `explore <n> <nbytes>` request: parses the uploaded

@@ -147,3 +147,35 @@ fn double_start_and_stop_without_start_are_config_errors() {
     remote.trace_stop().unwrap();
     drop(server);
 }
+
+/// The bridge leaves trace-state errors to the session: a `trace off`
+/// with nothing active and a second `trace on` are each one queued
+/// `err config`, and the live subscription is undisturbed.
+#[test]
+fn bridge_reports_trace_state_errors_from_the_session() {
+    let graph = gsim_firrtl::compile(COUNTER).unwrap();
+    let mut sim = Simulator::compile(&graph, &SimOptions::default()).unwrap();
+    let mut proto = gsim_server::proto::SessionProto::new();
+    let mut out = Vec::new();
+    for line in [
+        "trace off",
+        "trace on out",
+        "trace on",
+        "sync",
+        "poke en 1",
+        "step 2",
+        "trace off",
+        "sync",
+    ] {
+        proto.handle_line(&mut sim, line, &mut out).unwrap();
+    }
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        "chg 0 out 0\n\
+         err config no trace is active on this session\n\
+         err config a trace is already active on this session\n\
+         ok 0\n\
+         chg 2 out 1\n\
+         ok 2\n"
+    );
+}

@@ -683,6 +683,10 @@ impl Simulator {
         self.dirty_mems = snap.dirty_mems;
         self.counters = snap.counters;
         self.cycle = snap.cycle;
+        // The state jumped: a live trace records whatever moved, as
+        // the compiled backend's `restore` does, so a subscriber's
+        // view stays change-complete.
+        self.capture_trace();
         Ok(())
     }
 

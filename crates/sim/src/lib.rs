@@ -61,10 +61,11 @@
 //! `poke`/`peek`/`load_mem`/`step`/`run_driven`/`counters`/
 //! `snapshot`+`restore` behind one object-safe surface with the
 //! unified [`GsimError`] — which [`Simulator`] implements for every
-//! engine family and `gsim_codegen`'s persistent AoT session
-//! implements over a wire protocol (documented on the trait), so
-//! harnesses written against `&mut dyn Session` run on every
-//! execution substrate.
+//! engine family and [`WireSession`] implements once for every
+//! endpoint of the line protocol defined in [`wire`] (the AoT
+//! backend's child process, the service's socket), so harnesses
+//! written against `&mut dyn Session` run on every execution
+//! substrate.
 //!
 //! # Example
 //!
@@ -101,10 +102,13 @@ mod explore;
 mod fault;
 mod image;
 mod scenario;
+mod scenario_text;
 mod session;
 mod storage;
 mod supervise;
 mod threaded;
+pub mod wire;
+mod wire_session;
 
 pub use compile::FusionStats;
 pub use counters::Counters;
@@ -118,6 +122,7 @@ pub use storage::MemArena;
 // it so downstream crates can name what they receive.
 pub use gsim_value::Value;
 pub use supervise::{RecoveryStats, SessionFactory, SuperviseOptions, SupervisedSession};
+pub use wire_session::{Transport, WireClient, WireSession};
 
 use gsim_partition::PartitionOptions;
 

@@ -13,39 +13,11 @@
 //! the CLI, the bench harness, the tests, and the wire all speak the
 //! same value.
 //!
-//! # Text format
-//!
-//! ```text
-//! # comment
-//! !load imem 13 00000513
-//! rst=1 in0=ff
-//! rst=0
-//! ```
-//!
-//! `#` lines are comments; `!load <mem> <hex>...` loads one `u64`
-//! image word per token starting at address 0; every other line
-//! (including an empty one) is one cycle's frame of `name=hex` pokes.
-//! This is byte-compatible with the format the emitted AoT binary's
-//! stimulus parser accepts.
+//! The value itself and its text format live in the std-only
+//! `scenario_text.rs`, which emitted AoT simulators embed.
 
+pub use crate::scenario_text::Scenario;
 use crate::session::{GsimError, Session};
-
-/// A complete, backend-independent stimulus description: memory
-/// images plus timed input frames.
-///
-/// Cycles beyond the last frame run with inputs held at their final
-/// values (every backend implements hold semantics identically), so a
-/// scenario that drives `k` frames can still be run for `n > k`
-/// cycles via [`Scenario::run_for`] / [`Session::run_scenario`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Scenario {
-    /// Memory images applied before cycle 0 (one `u64` per entry,
-    /// entry `i` at address `i`).
-    pub loads: Vec<(String, Vec<u64>)>,
-    /// Per-cycle input pokes, frame `c` driven before cycle `c`.
-    /// Values are masked to the input's declared width by the backend.
-    pub frames: Vec<Vec<(String, u64)>>,
-}
 
 /// splitmix64 — the same tiny deterministic mixer the test harness
 /// uses for stimulus words; good enough to decorrelate branch
@@ -132,7 +104,7 @@ impl Scenario {
     /// # Errors
     ///
     /// As [`Session::run_scenario`].
-    pub fn run_for(&self, session: &mut dyn Session, n: u64) -> Result<(), GsimError> {
+    pub fn run_for<S: Session + ?Sized>(&self, session: &mut S, n: u64) -> Result<(), GsimError> {
         for (mem, image) in &self.loads {
             session.load_mem(mem, image)?;
         }
@@ -155,32 +127,6 @@ impl Scenario {
         Ok(())
     }
 
-    /// Renders the scenario into the stimulus text format (the exact
-    /// format [`Scenario::parse`] and the emitted AoT binary accept).
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        for (mem, image) in &self.loads {
-            s.push_str("!load ");
-            s.push_str(mem);
-            for w in image {
-                s.push_str(&format!(" {w:x}"));
-            }
-            s.push('\n');
-        }
-        for frame in &self.frames {
-            let mut first = true;
-            for (name, v) in frame {
-                if !first {
-                    s.push(' ');
-                }
-                first = false;
-                s.push_str(&format!("{name}={v:x}"));
-            }
-            s.push('\n');
-        }
-        s
-    }
-
     /// Parses the stimulus text format back into a scenario.
     /// `parse(render())` round-trips exactly; comments are dropped.
     ///
@@ -191,70 +137,8 @@ impl Scenario {
     /// value wider than 64 bits (session pokes are `u64`; wider
     /// inputs are driven via [`Session::poke`] directly).
     pub fn parse(text: &str) -> Result<Scenario, GsimError> {
-        let mut sc = Scenario::new();
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.starts_with('#') {
-                continue;
-            }
-            if line == "!load" {
-                // Without this exact match a bare `!load` falls
-                // through to the frame branch and reports a
-                // misleading `expected name=hex` at the right line
-                // but for the wrong reason.
-                return Err(GsimError::Parse(format!(
-                    "line {}: !load needs a memory name",
-                    ln + 1
-                )));
-            }
-            if let Some(rest) = line.strip_prefix("!load ") {
-                let mut it = rest.split_whitespace();
-                let mem = it.next().ok_or_else(|| {
-                    GsimError::Parse(format!("line {}: !load needs a memory name", ln + 1))
-                })?;
-                let mut image = Vec::new();
-                for tok in it {
-                    image.push(parse_hex64(tok).ok_or_else(|| {
-                        GsimError::Parse(format!(
-                            "line {}: bad or oversized image word {tok:?}",
-                            ln + 1
-                        ))
-                    })?);
-                }
-                sc.loads.push((mem.to_string(), image));
-                continue;
-            }
-            let mut frame = Vec::new();
-            for tok in line.split_whitespace() {
-                let (name, val) = tok.split_once('=').ok_or_else(|| {
-                    GsimError::Parse(format!("line {}: expected name=hex, got {tok:?}", ln + 1))
-                })?;
-                let v = parse_hex64(val).ok_or_else(|| {
-                    GsimError::Parse(format!("line {}: bad or oversized value {val:?}", ln + 1))
-                })?;
-                frame.push((name.to_string(), v));
-            }
-            sc.frames.push(frame);
-        }
-        Ok(sc)
+        Scenario::parse_text(text).map_err(GsimError::Parse)
     }
-}
-
-/// Parses hex into a `u64`; `None` on invalid digits, an empty
-/// token, or a value that does not fit 64 bits.
-fn parse_hex64(s: &str) -> Option<u64> {
-    if s.is_empty() {
-        return None;
-    }
-    let mut v: u64 = 0;
-    for c in s.chars() {
-        let d = c.to_digit(16)? as u64;
-        if v >> 60 != 0 {
-            return None;
-        }
-        v = (v << 4) | d;
-    }
-    Some(v)
 }
 
 #[cfg(test)]

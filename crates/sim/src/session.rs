@@ -14,91 +14,15 @@
 //! of ad-hoc `String`s, so callers can match on failure classes
 //! (unknown signal vs. backend loss) across backends.
 //!
-//! # AoT server wire protocol
+//! # Wire protocol
 //!
-//! The compiled simulator the AoT backend emits has a `--serve` mode:
-//! a line-oriented command loop on stdin/stdout that a driver process
-//! (or a human) can speak. Requests are single lines of
-//! whitespace-separated tokens; values travel as lowercase hex with no
-//! `0x` prefix. Commands that *mutate* are silent on success (so a
-//! driver can pipeline thousands of them without a round trip per
-//! command) and print an `err`-class line on failure; commands that
-//! *query* always print exactly one response line.
-//!
-//! | request | response | notes |
-//! |---|---|---|
-//! | `poke <name> <hex>` | silent / `err unknown-input <name>` | masked to the input's width |
-//! | `step <n>` | silent | runs `n` clock cycles |
-//! | `load <mem> <hex>...` | silent / `err unknown-memory <mem>` / `err mem-too-large <mem> <depth> <len>` | one `u64` entry per word, from address 0 |
-//! | `peek <name>` | `val <width> <hex>` / `err unknown-signal <name>` | named outputs and inputs |
-//! | `counters` | `counters <cycles> <supernode_evals> <node_evals> <value_changes>` | semantic cost counters |
-//! | `list` | three lines: `inputs`, `signals`, `mems` (see below) | design introspection |
-//! | `snapshot` | `snap <id>` | saves the full simulation state |
-//! | `restore <id>` | silent / `err unknown-snapshot <id>` | rolls back to a saved state |
-//! | `state` | `state <cycle> <blob>` | exports the full simulation state as one opaque ASCII token |
-//! | `loadstate <blob>` | silent / `err protocol ...` | imports a blob from `state` (any process instance of the same artifact) |
-//! | `sync` | `ok <cycle>` | barrier: all prior commands have been applied |
-//! | `trace on [<name>...]` | `chg` burst (see below) / `err unknown-signal <name>` | starts streaming value changes; no names = every `list`-able signal |
-//! | `trace off` | silent | stops streaming |
-//! | `exit` | (process exits 0) | closing stdin has the same effect |
-//!
-//! While tracing is on, the server interleaves unsolicited
-//! `chg <cycle> <name> <hex>` records into its output: one per traced
-//! signal when tracing starts (the baseline burst, stamped with the
-//! current cycle), then one per value change per cycle, always
-//! *before* the response to the command that caused them. Clients
-//! route any line starting `chg ` to their wave sink and treat the
-//! remainder of the stream unchanged — this is what
-//! [`Session::trace_start`] / [`Session::trace_stop`] speak on the
-//! process-backed sessions, with `gsim_wave`'s `ChgRouter`
-//! reassembling the records into a `WaveSink`.
-//!
-//! `list` is the introspection query: it prints exactly three lines —
-//! `inputs <name>:<width> ...` (top-level inputs, declaration order),
-//! `signals <name>:<width> ...` (every peekable name: outputs then
-//! inputs, deduplicated), and `mems <name>:<depth>:<width> ...` —
-//! so clients need no out-of-band knowledge of the design. The same
-//! metadata is available in-process as [`Session::inputs`],
-//! [`Session::signals`], and [`Session::memories`].
-//!
-//! A driver that wants errors promptly sends `sync` after a batch and
-//! reads until the `ok`: any queued `err` lines arrive first, in
-//! command order. `err` lines start with a machine-readable class
-//! (`unknown-input`, `unknown-signal`, `unknown-memory`,
-//! `mem-too-large`, `unknown-snapshot`, `protocol`, `io`, `timeout`,
-//! `session-lost`, …) that maps onto the corresponding [`GsimError`]
-//! variant; the mapping is implemented once, in both directions, by
-//! [`GsimError::to_wire`] and [`GsimError::from_wire`].
-//!
-//! `state`/`loadstate` are the crash-recovery primitives: the exported
-//! blob is a deterministic, whitespace-free serialization of every
-//! state element (signal values, register shadows, memories, the
-//! activation set, the cycle count, and the semantic counters), and
-//! importing it into a *different* process running the same compiled
-//! artifact reproduces the source simulation bit for bit. The
-//! supervisor (`SupervisedSession`) checkpoints through these
-//! commands and replays its command journal on top after a crash.
-//!
-//! # Service protocol (gsim-server)
-//!
-//! `gsim serve` (the multi-tenant simulation service in
-//! `gsim_server`) speaks a superset of the same protocol over a Unix
-//! or TCP socket. Three commands establish and manage a session
-//! before/alongside the simulation commands above:
-//!
-//! | request | response | notes |
-//! |---|---|---|
-//! | `design <nbytes> [aot\|interp\|jit]` | `ready <key> <hit\|miss\|interp\|jit\|fallback> <ms>` | the next `nbytes` bytes are FIRRTL source; `aot` goes through the artifact cache, `interp`/`jit` compile in-process (`jit` = the threaded-code backend, AoT-class dispatch with no compiler in the loop) |
-//! | `explore <n> <nbytes>` | `branch <i> <cycle> <name>=<hex>... <counters...>` × n, then `ok <cycle>` | the next `nbytes` bytes are a scenario in the stimulus text format; the server forks the open session's current state and runs `n` `perturb(i)` branches, streaming one `branch` line per result (index order) |
-//! | `stats` | `stats sessions <n> active <n> hits <n> misses <n> compiles <n> evictions <n> panics <n> fallbacks <n>` | service-level counters |
-//! | `shutdown` | `ok <cycle>` | stops the whole server (test/admin facility) |
-//!
-//! `ready … fallback` is graceful degradation: an `aot` request whose
-//! compile failed (rustc missing, build error, corrupt artifact) is
-//! served by the in-process `jit` backend instead of erroring the
-//! tenant; the session speaks the identical protocol. `panics` counts
-//! session threads that died to a caught panic (the tenant got a typed
-//! `err backend` line); `fallbacks` counts degraded `aot` requests.
+//! Sessions that live in another process — the compiled simulator the
+//! AoT backend emits (`--serve` mode) and the `gsim serve` service —
+//! speak one line protocol, defined once (grammar, tables, limits) in
+//! [`crate::wire`] and spoken client-side by [`crate::WireSession`].
+//! The `err` classes on that wire map onto [`GsimError`] variants in
+//! both directions through [`GsimError::to_wire`] and
+//! [`GsimError::from_wire`].
 
 use crate::counters::Counters;
 use crate::scenario::Scenario;
@@ -222,29 +146,28 @@ impl GsimError {
 
     /// Renders this error as a protocol `err` line (without the
     /// trailing newline): `err <class> <payload...>`. The inverse of
-    /// [`GsimError::from_wire`]; every server-side component (the
-    /// emitted binary's `--serve` loop mirrors this table, and
-    /// `gsim-server` calls it directly) encodes errors through this
-    /// one mapping.
+    /// [`GsimError::from_wire`]. `gsim-server` encodes every error
+    /// through it; the emitted binary's `--serve` loop prints the few
+    /// classes it can raise literally, pinned equal by the transcript
+    /// test in `tests/session_api.rs`.
     pub fn to_wire(&self) -> String {
-        match self {
-            GsimError::Compile(e) => format!("err compile {e}"),
-            GsimError::Parse(m) => format!("err parse {m}"),
-            GsimError::Config(m) => format!("err config {m}"),
-            GsimError::UnknownSignal(n) => format!("err unknown-signal {n}"),
-            GsimError::NotAnInput(n) => format!("err unknown-input {n}"),
-            GsimError::UnknownMemory(n) => format!("err unknown-memory {n}"),
-            GsimError::MemImageTooLarge { name, depth, len } => {
-                format!("err mem-too-large {name} {depth} {len}")
-            }
-            GsimError::UnknownSnapshot(id) => format!("err unknown-snapshot {id}"),
-            GsimError::Io(m) => format!("err io {m}"),
-            GsimError::Protocol(m) => format!("err protocol {m}"),
-            GsimError::Backend(m) => format!("err backend {m}"),
-            GsimError::Timeout(m) => format!("err timeout {m}"),
-            GsimError::SessionLost(m) => format!("err session-lost {m}"),
-            GsimError::Unsupported(m) => format!("err unsupported {m}"),
-        }
+        let payload = match self {
+            GsimError::Compile(e) => e.to_string(),
+            GsimError::MemImageTooLarge { name, depth, len } => format!("{name} {depth} {len}"),
+            GsimError::UnknownSnapshot(id) => id.to_string(),
+            GsimError::Parse(m)
+            | GsimError::Config(m)
+            | GsimError::UnknownSignal(m)
+            | GsimError::NotAnInput(m)
+            | GsimError::UnknownMemory(m)
+            | GsimError::Io(m)
+            | GsimError::Protocol(m)
+            | GsimError::Backend(m)
+            | GsimError::Timeout(m)
+            | GsimError::SessionLost(m)
+            | GsimError::Unsupported(m) => m.clone(),
+        };
+        format!("err {} {payload}", self.wire_class())
     }
 
     /// Decodes a protocol `err` line (with or without the leading
@@ -515,23 +438,7 @@ pub trait Session {
     /// poke errors still complete the run and are reported at the
     /// end; fatal errors abort immediately.
     fn run_scenario(&mut self, scenario: &Scenario) -> Result<(), GsimError> {
-        for (mem, image) in &scenario.loads {
-            self.load_mem(mem, image)?;
-        }
-        let n = scenario.cycles();
-        if n == 0 {
-            return Ok(());
-        }
-        let start = self.cycle();
-        let frames = &scenario.frames;
-        #[allow(deprecated)]
-        self.run_driven(n, &mut |cycle, frame| {
-            if let Some(pokes) = frames.get((cycle - start) as usize) {
-                for (name, v) in pokes {
-                    frame.set(name, *v);
-                }
-            }
-        })
+        scenario.run_for(self, scenario.cycles())
     }
 
     /// Forks this session: returns a *new* session of the same

@@ -44,6 +44,7 @@ mod diff;
 mod sink;
 mod tracer;
 mod vcd;
+mod vcd_writer;
 
 pub use diff::{diff, first_difference, WaveDiff};
 pub use sink::{ChgRouter, CountingWriter, LineSink, MemSink, SharedBuf, WaveCell, WaveSink};

@@ -14,6 +14,10 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::sink::WaveSink;
+pub(crate) use crate::vcd_writer::limbs;
+#[cfg(test)]
+use crate::vcd_writer::words_to_bin;
+pub use crate::vcd_writer::{id_code, VcdWriter};
 
 /// One traced signal: its dotted name and bit width.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,12 +87,6 @@ impl Wave {
     }
 }
 
-/// Number of 64-bit limbs needed for `width` bits (at least one, so
-/// even a 1-bit signal carries a limb).
-pub(crate) fn limbs(width: u32) -> usize {
-    (width as usize).div_ceil(64).max(1)
-}
-
 /// Masks `words` in place to `width` bits.
 pub(crate) fn mask_words(words: &mut [u64], width: u32) {
     let full = (width as usize) / 64;
@@ -103,23 +101,6 @@ pub(crate) fn mask_words(words: &mut [u64], width: u32) {
             *w = 0;
         }
     }
-}
-
-/// The short printable identifier code VCD assigns to signal `n`:
-/// bijective base-94 over the printable ASCII range `!`..`~`, so
-/// signal 0 is `!`, 93 is `~`, 94 is `!!`, matching common tooling.
-pub fn id_code(mut n: usize) -> String {
-    let mut buf = Vec::new();
-    loop {
-        buf.push(b'!' + (n % 94) as u8);
-        n /= 94;
-        if n == 0 {
-            break;
-        }
-        n -= 1;
-    }
-    buf.reverse();
-    String::from_utf8(buf).expect("printable ASCII")
 }
 
 /// Renders limbs as lowercase hex with no leading zeros (`"0"` for
@@ -177,31 +158,6 @@ pub fn hex_to_words(s: &str, width: u32) -> Option<Vec<u64>> {
     Some(words)
 }
 
-/// Renders limbs as binary with no leading zeros (`"0"` for zero),
-/// the vector-value format VCD `b` records use.
-fn words_to_bin(words: &[u64], width: u32) -> String {
-    let n = limbs(width).min(words.len().max(1));
-    let mut s = String::new();
-    for i in (0..n).rev() {
-        let w = words.get(i).copied().unwrap_or(0);
-        if s.is_empty() {
-            if w == 0 && i != 0 {
-                continue;
-            }
-            let _ = write!(s, "{w:b}");
-        } else {
-            let _ = write!(s, "{w:064b}");
-        }
-    }
-    if s == "0" && words.iter().all(|&w| w == 0) {
-        return "0".to_string();
-    }
-    if s.is_empty() {
-        s.push('0');
-    }
-    s
-}
-
 /// Parses a VCD `b` record's binary digits into limbs; `None` on
 /// empty input, non-binary digits, or overflow past `width`.
 fn bin_to_words(s: &str, width: u32) -> Option<Vec<u64>> {
@@ -234,96 +190,23 @@ fn bin_to_words(s: &str, width: u32) -> Option<Vec<u64>> {
     Some(words)
 }
 
-/// A streaming IEEE-1364 VCD writer implementing [`WaveSink`].
-///
-/// Emission is deterministic: a fixed header (`$timescale 1ns`), one
-/// `$scope module <top>`, ids assigned by signal index via
-/// [`id_code`], a `#<time>`-stamped `$dumpvars` baseline, and change
-/// records that only advance `#<time>` when time actually moves.
-/// Scalar (1-bit) signals use `0<id>`/`1<id>`; wider signals use
-/// `b<binary> <id>` with no leading zeros.
-pub struct VcdWriter<W: Write> {
-    out: W,
-    widths: Vec<u32>,
-    ids: Vec<String>,
-    cur_time: Option<u64>,
-}
-
-impl<W: Write> VcdWriter<W> {
-    /// Wraps `out`; nothing is written until [`WaveSink::start`].
-    pub fn new(out: W) -> VcdWriter<W> {
-        VcdWriter {
-            out,
-            widths: Vec::new(),
-            ids: Vec::new(),
-            cur_time: None,
-        }
-    }
-
-    /// Consumes the writer, returning the underlying output.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-
-    fn stamp(&mut self, time: u64) -> io::Result<()> {
-        if self.cur_time != Some(time) {
-            writeln!(self.out, "#{time}")?;
-            self.cur_time = Some(time);
-        }
-        Ok(())
-    }
-
-    fn value(&mut self, signal: usize, words: &[u64]) -> io::Result<()> {
-        let width = self.widths[signal];
-        if width == 1 {
-            let bit = words.first().copied().unwrap_or(0) & 1;
-            writeln!(self.out, "{bit}{}", self.ids[signal])
-        } else {
-            writeln!(
-                self.out,
-                "b{} {}",
-                words_to_bin(words, width),
-                self.ids[signal]
-            )
-        }
-    }
-}
-
 impl<W: Write + Send> WaveSink for VcdWriter<W> {
     fn start(&mut self, top: &str, signals: &[WaveSignal]) -> io::Result<()> {
-        self.widths = signals.iter().map(|s| s.width).collect();
-        self.ids = (0..signals.len()).map(id_code).collect();
-        writeln!(self.out, "$timescale 1ns $end")?;
-        writeln!(self.out, "$scope module {top} $end")?;
-        for (i, s) in signals.iter().enumerate() {
-            writeln!(
-                self.out,
-                "$var wire {} {} {} $end",
-                s.width, self.ids[i], s.name
-            )?;
-        }
-        writeln!(self.out, "$upscope $end")?;
-        writeln!(self.out, "$enddefinitions $end")?;
-        Ok(())
+        let signals: Vec<(&str, u32)> =
+            signals.iter().map(|s| (s.name.as_str(), s.width)).collect();
+        self.header(top, &signals)
     }
 
     fn dumpvars(&mut self, time: u64, values: &[Vec<u64>]) -> io::Result<()> {
-        self.stamp(time)?;
-        writeln!(self.out, "$dumpvars")?;
-        for (i, v) in values.iter().enumerate() {
-            self.value(i, v)?;
-        }
-        writeln!(self.out, "$end")?;
-        Ok(())
+        VcdWriter::dumpvars(self, time, values)
     }
 
     fn change(&mut self, time: u64, signal: usize, words: &[u64]) -> io::Result<()> {
-        self.stamp(time)?;
-        self.value(signal, words)
+        VcdWriter::change(self, time, signal, words)
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.out.flush()
+        VcdWriter::finish(self)
     }
 }
 

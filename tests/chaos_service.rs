@@ -277,3 +277,79 @@ fn connect_with_retry_rides_out_slow_bind() {
     let _ = std::fs::remove_file(&sock);
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
+
+/// Attacker-sized requests: a `design` announcing more bytes than any
+/// upload may have and a line longer than any line may be. Each gets
+/// one typed `err protocol` reply and nothing else gives: the same
+/// connection goes on to open a design and simulate, a session on
+/// another connection is undisturbed, and no session thread died.
+#[test]
+fn oversize_requests_are_refused_and_contained() {
+    use gsim_sim::wire::MAX_LINE_BYTES;
+    use std::io::{BufRead as _, Write as _};
+
+    let (mut server, cache_dir) = start_faulty_server("oversize", FaultPlan::default());
+    let ep = server.endpoint().clone();
+
+    // The bystander: another tenant, mid-run, with a = 3, b = 4.
+    let mut bystander = ClientSession::connect(&ep).expect("connect");
+    bystander.open_design(DESIGN, "interp").expect("open");
+    bystander.poke_u64("a", 3).unwrap();
+    bystander.poke_u64("b", 4).unwrap();
+    bystander.step(5).unwrap();
+    let acc_before = bystander.peek_u64("acc").unwrap().unwrap();
+
+    let Endpoint::Tcp(addr) = &ep else {
+        panic!("the chaos server listens on TCP");
+    };
+    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+    let mut replies = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut reply = || {
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("server still answers");
+        line
+    };
+
+    // The size is rejected on its own: no allocation, no waiting for a
+    // payload that will never come.
+    raw.write_all(b"design 99999999999999 interp\n").unwrap();
+    let r = reply();
+    assert!(
+        r.starts_with("err protocol upload of 99999999999999 bytes"),
+        "{r}"
+    );
+    raw.write_all(b"explore 4 99999999999999\n").unwrap();
+    assert!(reply().starts_with("err protocol upload of"), "explore too");
+
+    // One byte over the line limit, then the terminator.
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..MAX_LINE_BYTES >> 20 {
+        raw.write_all(&chunk).unwrap();
+    }
+    raw.write_all(b"x\n").unwrap();
+    let r = reply();
+    assert!(r.starts_with("err protocol line exceeds"), "{r}");
+
+    // The connection is alive and in step: it opens a design and runs.
+    raw.write_all(format!("design {} interp\n{DESIGN}", DESIGN.len()).as_bytes())
+        .unwrap();
+    let r = reply();
+    assert!(r.starts_with("ready "), "{r}");
+    raw.write_all(b"poke a 2\npoke b 1\nstep 1\npeek sum\nsync\n")
+        .unwrap();
+    assert_eq!(reply(), "val 17 3\n");
+    assert_eq!(reply(), "ok 1\n");
+
+    // The bystander never noticed: r keeps accumulating a ^ b = 7.
+    bystander.step(3).unwrap();
+    assert_eq!(bystander.cycle(), 8);
+    let acc_after = bystander.peek_u64("acc").unwrap().unwrap();
+    assert_eq!(acc_after, acc_before + 3 * 7);
+    assert_eq!(bystander.peek_u64("sum").unwrap(), Some(7));
+
+    let stats = server.stats();
+    assert_eq!(stats.panics, 0, "no session thread died");
+    assert_eq!(stats.active, 2, "both connections are still sessions");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}

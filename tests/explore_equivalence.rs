@@ -413,7 +413,7 @@ impl Session for NoFork {
 /// bit-identical to the golden model.
 #[test]
 fn killed_pool_child_is_retried_and_stays_bit_identical() {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     if !gsim_codegen::rustc_available() {
         eprintln!("skipping: rustc not available on this host");
@@ -429,16 +429,24 @@ fn killed_pool_child_is_retried_and_stays_bit_identical() {
     let mut core = NoFork(Box::new(aot_sim.session().expect("core session")));
     core.run_scenario(&warm).expect("warmup");
 
-    // First recovered session self-destructs mid-branch (the fault
-    // plan kills the child process after `warm + 10` cycles); every
-    // later one is healthy. The `Mutex` makes the captured `AotSim`
-    // shareable across the explorer's worker threads.
+    // The two sessions the pool opens up front self-destruct
+    // mid-branch (the fault plan kills the child process after
+    // `warm + 10` cycles); every later one is healthy. Both, because
+    // which worker gets to the branch queue first is up to the
+    // scheduler: with one faulty session a fast healthy worker can
+    // drain all four branches before the faulty one runs any. The
+    // `Mutex` makes the captured `AotSim` shareable across the
+    // explorer's worker threads.
     let kill_at = warm.cycles() + 10;
-    let armed = AtomicBool::new(true);
+    let armed = AtomicUsize::new(2);
     let aot_sim = Mutex::new(aot_sim);
     let warm_for_factory = warm.clone();
     let recover = move || -> Result<Box<dyn Session + Send>, GsimError> {
-        let plan = if armed.swap(false, Ordering::SeqCst) {
+        let disarm = |n: usize| n.checked_sub(1);
+        let plan = if armed
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, disarm)
+            .is_ok()
+        {
             gsim::FaultPlan {
                 kill_child_at_cycle: Some(kill_at),
                 ..gsim::FaultPlan::default()

@@ -3,7 +3,8 @@
 //! the persistent AoT session; a scripted poke/step/peek transcript
 //! must read back identical typed values on every backend; and the
 //! unified `GsimError` taxonomy is the same across the process
-//! boundary.
+//! boundary — down to the bytes: the two server-side dispatchers of
+//! the wire protocol answer one script with one reply stream.
 
 mod common;
 
@@ -280,4 +281,83 @@ fn introspection_agrees_on_every_backend() {
             "{tag} vs {first_tag}: memories"
         );
     }
+}
+
+/// One script — well-formed commands and every class of malformed
+/// one — through both server-side dispatchers of the wire protocol:
+/// `SessionProto` over an in-process session, and the `--serve` loop
+/// of an emitted binary. Both are a `match` over
+/// `gsim_sim::wire::Command`, so the reply streams must be
+/// byte-identical. (Left out: `state`/`loadstate`, whose blobs are
+/// backend-specific, and blank lines, which both read loops skip
+/// before dispatch; `counters` replies are compared by cycle count.)
+#[test]
+fn both_dispatchers_answer_one_script_identically() {
+    use std::io::Write as _;
+    if !gsim_codegen::rustc_available() {
+        eprintln!("note: rustc unavailable, transcript comparison skipped");
+        return;
+    }
+    let graph = gsim_designs::stu_core();
+    let program = gsim_workloads::programs::fib(8);
+    let image: String = program.image.iter().map(|w| format!(" {w:x}")).collect();
+    let script = format!(
+        "list\nload imem{image}\npoke reset 1\nstep 2\npoke reset 0\nstep\npeek halt\n\
+         snapshot\nstep 40\npeek result\ncounters\nrestore 0\npeek result\ncounters\nsync\n\
+         restore\nrestore first\nrestore 99\npeek\npeek nonesuch\npoke\npoke reset\n\
+         poke reset zz\npoke reset -1\npoke halt 1\nload\nload imem 10000000000000000\n\
+         load nonesuch 1\nload imem{big}\nstep many\ntrace\ntrace maybe\nfrobnicate 1 2\n\
+         design 3 interp\npeek result\nsync\n\
+         trace on result halt\nstep 30\nrestore 0\ntrace off\nsync\n\
+         trace on nonesuch\nsync\ncounters extra tokens\nsync\n",
+        big = " 0".repeat(1 << 16),
+    );
+
+    let (mut sim, _) = Compiler::new(&graph).preset(Preset::Gsim).build().unwrap();
+    let mut proto = gsim_server::proto::SessionProto::new();
+    let mut in_process = Vec::new();
+    for line in script.lines() {
+        proto.handle_line(&mut sim, line, &mut in_process).unwrap();
+    }
+
+    let (aot, _) = Compiler::new(&graph)
+        .preset(Preset::Gsim)
+        .build_aot()
+        .unwrap();
+    let mut child = std::process::Command::new(&aot.binary_path)
+        .arg("--serve")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    // The reply stream is far smaller than a pipe buffer, so writing
+    // the whole script before reading cannot deadlock.
+    stdin.write_all(script.as_bytes()).unwrap();
+    drop(stdin);
+    let emitted = child.wait_with_output().unwrap();
+    assert!(emitted.status.success());
+
+    let (a, b) = (
+        String::from_utf8(in_process).unwrap(),
+        String::from_utf8(emitted.stdout).unwrap(),
+    );
+    // Evaluation-cost counters are a property of the backend, not of
+    // the protocol: compare `counters` replies by their cycle count.
+    let comparable = |l: &str| match l.strip_prefix("counters ") {
+        Some(rest) => format!("counters {}", rest.split(' ').next().unwrap_or("")),
+        None => l.to_string(),
+    };
+    for (n, (x, y)) in a.lines().zip(b.lines()).enumerate() {
+        assert_eq!(
+            comparable(x),
+            comparable(y),
+            "reply line {n}: SessionProto vs emitted --serve"
+        );
+    }
+    assert_eq!(a.lines().count(), b.lines().count(), "reply stream length");
+    // The malformed lines really were answered, each as `err protocol`.
+    assert_eq!(a.matches("err protocol ").count(), 14, "{a}");
+    assert!(a.contains("err unknown-snapshot 99\n"), "{a}");
+    assert!(a.contains("\nchg "), "tracing produced records");
 }
