@@ -43,9 +43,20 @@ pub struct SynthParams {
     pub seed: u64,
 }
 
+/// Most functional units per lane. Each FU adds 32 bits to the lane's
+/// writeback bus and one level to its writeback mux chain, which every
+/// recursive pass walks; past this, designs grow by longer chains.
+const MAX_FUS_PER_LANE: usize = 255;
+
+const _: () = assert!(32 * MAX_FUS_PER_LANE as u64 <= gsim_value::MAX_WIDTH as u64);
+
 impl SynthParams {
     /// Sizes parameters so the generated core lands near `target_nodes`,
     /// with lane counts matching the named paper design.
+    ///
+    /// Up to 255 functional units per lane the core grows by units of
+    /// fixed shape; beyond that it keeps 255 and lengthens every chain,
+    /// so paper-scale targets land within 2× of their size.
     pub fn for_target(name: &str, target_nodes: usize) -> SynthParams {
         let (lanes, fu_chains, fu_depth) = match name {
             "Rocket" => (1, 6, 12),
@@ -59,12 +70,20 @@ impl SynthParams {
         let overhead_per_lane = 120.0;
         let budget = target_nodes as f64 - lanes as f64 * overhead_per_lane;
         let fus = (budget / (lanes as f64 * per_fu)).max(2.0) as usize;
+        let fu_depth = if fus <= MAX_FUS_PER_LANE {
+            fu_depth
+        } else {
+            // A FU is its chains plus five nodes (select, enable, operand
+            // register, output, writeback select); solve for the depth.
+            let per_fu = budget / (lanes * MAX_FUS_PER_LANE) as f64;
+            (((per_fu - 5.0) / fu_chains as f64) as usize).max(fu_depth)
+        };
         SynthParams {
             name: name.to_string(),
             lanes,
             fu_chains,
             fu_depth,
-            fus_per_lane: fus.clamp(2, 255),
+            fus_per_lane: fus.clamp(2, MAX_FUS_PER_LANE),
             seed: 0x9e37_79b9 ^ target_nodes as u64,
         }
     }
@@ -357,6 +376,30 @@ mod tests {
                 n as f64 > target as f64 * 0.5 && (n as f64) < target as f64 * 2.0,
                 "{name}: {n} nodes for target {target}"
             );
+        }
+    }
+
+    #[test]
+    fn targets_past_the_fu_cap_grow_the_design() {
+        // At 255 FUs per lane the XiangShan shape has 179 129 nodes;
+        // larger targets used to get that same design.
+        let target = 400_000;
+        let p = SynthParams::for_target("XiangShan", target);
+        let n = synth_core(&p).num_nodes();
+        assert!(n >= 2 * 179_129, "{n} nodes for target {target}");
+        assert!(n as f64 > target as f64 * 0.5 && (n as f64) < target as f64 * 2.0);
+    }
+
+    #[test]
+    fn targets_under_the_fu_cap_keep_their_shape() {
+        for (name, target) in [("Rocket", 20_000usize), ("XiangShan", 179_000)] {
+            let p = SynthParams::for_target(name, target);
+            let depth = match name {
+                "Rocket" => 12,
+                _ => 14,
+            };
+            assert_eq!(p.fu_depth, depth, "{name} at {target}");
+            assert!(p.fus_per_lane <= 255);
         }
     }
 

@@ -126,7 +126,7 @@ impl Graph {
         let mut seen: Vec<NodeId> = Vec::new();
         for node in &self.nodes {
             seen.clear();
-            seen.extend(node.dep_refs());
+            node.for_each_dep(|d| seen.push(d));
             seen.sort_unstable();
             seen.dedup();
             edges += seen.len();
@@ -319,6 +319,34 @@ impl Graph {
         let id = MemId::from_index(self.mems.len());
         self.mems.push(mem);
         id
+    }
+
+    /// Takes the graph apart into its name, nodes and memories, so a
+    /// pass can rewrite them by move instead of by copy.
+    pub fn into_parts(self) -> (String, Vec<Node>, Vec<Mem>) {
+        (self.name, self.nodes, self.mems)
+    }
+
+    /// Reassembles a graph from [`Graph::into_parts`]; the input and
+    /// output lists are rebuilt from the node kinds, in node order.
+    pub fn from_parts(name: String, nodes: Vec<Node>, mems: Vec<Mem>) -> Graph {
+        let ids_of = |pred: fn(&NodeKind) -> bool| -> Vec<NodeId> {
+            nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| pred(&n.kind))
+                .map(|(i, _)| NodeId::from_index(i))
+                .collect()
+        };
+        let inputs = ids_of(|k| matches!(k, NodeKind::Input));
+        let outputs = ids_of(|k| matches!(k, NodeKind::Output));
+        Graph {
+            name,
+            nodes,
+            mems,
+            inputs,
+            outputs,
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Graph nodes, node kinds, and memories.
 
-use crate::expr::Expr;
+use crate::expr::{Expr, ExprKind};
 use gsim_value::Value;
 use std::fmt;
 
@@ -150,23 +150,53 @@ impl Node {
         self.write.as_deref()
     }
 
+    /// The node's expressions: its defining expression, then the write
+    /// port's address, data and enable.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let write = self.write.as_deref().into_iter();
+        self.expr
+            .iter()
+            .chain(write.flat_map(|w| [&w.addr, &w.data, &w.en]))
+    }
+
+    /// Mutable form of [`Node::exprs`], in the same order.
+    pub fn exprs_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        let write = self.write.as_deref_mut().into_iter();
+        self.expr
+            .iter_mut()
+            .chain(write.flat_map(|w| [&mut w.addr, &mut w.data, &mut w.en]))
+    }
+
     /// Iterates over all node references this node depends on
     /// (expression refs plus write-port operand refs plus the reset
     /// signal).
     pub fn dep_refs(&self) -> Vec<NodeId> {
         let mut out = Vec::new();
-        if let Some(e) = &self.expr {
-            out.extend(e.refs());
+        self.for_each_dep(|d| out.push(d));
+        out
+    }
+
+    /// Calls `f` on every node reference this node depends on, in the
+    /// order [`Node::dep_refs`] lists them, without allocating.
+    pub fn for_each_dep(&self, mut f: impl FnMut(NodeId)) {
+        // Expr::refs order: depth first, last operand first.
+        fn walk(e: &Expr, f: &mut impl FnMut(NodeId)) {
+            match &e.kind {
+                ExprKind::Ref(id) => f(*id),
+                ExprKind::Prim(_, args, _) => {
+                    for a in args.iter().rev() {
+                        walk(a, f);
+                    }
+                }
+                ExprKind::Const(_) => {}
+            }
         }
-        if let Some(w) = &self.write {
-            out.extend(w.addr.refs());
-            out.extend(w.data.refs());
-            out.extend(w.en.refs());
+        for e in self.exprs() {
+            walk(e, &mut f);
         }
         if let NodeKind::Reg { reset: Some(r) } = &self.kind {
-            out.push(r.signal);
+            f(r.signal);
         }
-        out
     }
 }
 
@@ -233,5 +263,21 @@ mod tests {
         let deps = node.dep_refs();
         assert!(deps.contains(&sig));
         assert!(deps.contains(&NodeId::from_index(1)));
+    }
+
+    #[test]
+    fn dep_refs_follow_expr_refs_order() {
+        let r = |i| Expr::reference(NodeId::from_index(i), 8, false);
+        let add = |a, b| crate::Expr::prim(crate::PrimOp::Add, vec![a, b], vec![]).unwrap();
+        let e = add(add(r(1), r(2)), add(r(3), r(4)));
+        let node = Node {
+            name: "n".into(),
+            kind: NodeKind::Comb,
+            width: e.width,
+            signed: false,
+            expr: Some(e.clone()),
+            write: None,
+        };
+        assert_eq!(node.dep_refs(), e.refs().collect::<Vec<_>>());
     }
 }

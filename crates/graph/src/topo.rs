@@ -52,12 +52,12 @@ pub fn toposort(g: &Graph) -> Result<Vec<NodeId>, CombLoopError> {
     // First pass: count scheduling edges per source.
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
     for (id, node) in g.iter() {
-        for dep in node.dep_refs() {
+        node.for_each_dep(|dep| {
             if g.node(dep).kind.is_comb_like() {
                 edges.push((dep, id));
                 indegree[id.index()] += 1;
             }
-        }
+        });
     }
     for &(src, _) in &edges {
         succ_offsets[src.index() + 1] += 1;
@@ -153,11 +153,11 @@ impl Levels {
         let mut level = vec![0u32; g.num_nodes()];
         for &id in &order {
             let mut lv = 0;
-            for dep in g.node(id).dep_refs() {
+            g.node(id).for_each_dep(|dep| {
                 if g.node(dep).kind.is_comb_like() {
                     lv = lv.max(level[dep.index()] + 1);
                 }
-            }
+            });
             level[id.index()] = lv;
         }
         let max = level.iter().copied().max().unwrap_or(0);

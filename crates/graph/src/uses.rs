@@ -28,7 +28,7 @@ impl Uses {
         let mut deps: Vec<NodeId> = Vec::new();
         for (id, node) in g.iter() {
             deps.clear();
-            deps.extend(node.dep_refs());
+            node.for_each_dep(|d| deps.push(d));
             deps.sort_unstable();
             deps.dedup();
             in_degree[id.index()] = deps.len() as u32;

@@ -20,7 +20,20 @@
 //! 3. One new node per interval replaces `n`; consumers' slices become
 //!    references (or concatenations) of the parts. Bits nobody reads
 //!    become dead parts that redundant-node elimination removes.
+//!
+//! Rounds are worklist-driven. The use summaries are built by one sweep
+//! and then kept current: whenever an expression is added, removed or
+//! rewritten, its uses are subtracted before and added after. Whether a
+//! node is a candidate depends only on its own summary and expression,
+//! so each round after the first checks just the parts the last round
+//! created, the nodes whose uses it changed and the users it rewrote —
+//! every other node was already not a candidate — and rewrites just the
+//! users of the nodes it split. Split nodes stay in place, marked, until
+//! one compaction at the end; parts are appended in the order the
+//! rounds created them, so the compacted graph is node for node the one
+//! a per-round rebuild produces.
 
+use crate::rebuild;
 use gsim_graph::{Expr, ExprKind, Graph, Node, NodeId, NodeKind, PrimOp};
 use gsim_value::{ops, Value};
 use std::collections::HashMap;
@@ -31,13 +44,25 @@ const MAX_ROUNDS: usize = 4;
 /// Runs bit-splitting to a fixpoint (bounded rounds). Returns the number
 /// of nodes split.
 pub fn split(graph: &mut Graph) -> usize {
+    let mut state = SplitState::new(graph);
+    let mut check: Vec<NodeId> = graph.node_ids().collect();
     let mut total = 0;
     for _ in 0..MAX_ROUNDS {
-        let n = split_round(graph);
-        total += n;
-        if n == 0 {
+        check.sort_unstable();
+        check.dedup();
+        let plans: Vec<Plan> = check
+            .iter()
+            .filter_map(|&id| state.plan(graph, id))
+            .collect();
+        if plans.is_empty() {
             break;
         }
+        total += plans.len();
+        check = state.apply(graph, plans);
+    }
+    if total > 0 {
+        let keep: Vec<bool> = state.removed.iter().map(|&r| !r).collect();
+        *graph = rebuild::retain_nodes(std::mem::take(graph), &keep);
     }
     total
 }
@@ -45,44 +70,62 @@ pub fn split(graph: &mut Graph) -> usize {
 /// How one node is used across the graph.
 #[derive(Debug, Default, Clone)]
 struct UseSummary {
-    /// `(lo, hi_exclusive)` for each `bits` use.
+    /// `(lo, hi_exclusive)` for each `bits` use, in no particular order.
     slices: Vec<(u32, u32)>,
     /// Number of non-slice (whole-value) uses.
     full_uses: usize,
 }
 
-fn split_round(graph: &mut Graph) -> usize {
-    let n = graph.num_nodes();
-    let mut uses: Vec<UseSummary> = vec![UseSummary::default(); n];
+/// One node to split: its intervals and the expression of each part.
+struct Plan {
+    id: NodeId,
+    intervals: Vec<(u32, u32)>,
+    parts: Vec<Expr>,
+}
 
-    // Classify uses. A use is a slice only when the reference appears
-    // directly inside bits(, hi, lo).
-    let classify = |e: &Expr, uses: &mut Vec<UseSummary>| {
-        classify_expr(e, uses);
-    };
-    for (_, node) in graph.iter() {
-        if let Some(e) = &node.expr {
-            classify(e, &mut uses);
+/// What a [`split`] call keeps between rounds.
+struct SplitState {
+    uses: Vec<UseSummary>,
+    users: rebuild::Users,
+    /// Split nodes, dropped at the end of the call.
+    removed: Vec<bool>,
+}
+
+impl SplitState {
+    fn new(graph: &Graph) -> SplitState {
+        let mut uses = vec![UseSummary::default(); graph.num_nodes()];
+        let mut touched = Vec::new();
+        for (_, node) in graph.iter() {
+            for e in node.exprs() {
+                classify(e, &mut uses, true, &mut touched);
+            }
+            if let NodeKind::Reg { reset: Some(r) } = &node.kind {
+                uses[r.signal.index()].full_uses += 1;
+            }
+            touched.clear();
         }
-        if let Some(w) = &node.write {
-            classify(&w.addr, &mut uses);
-            classify(&w.data, &mut uses);
-            classify(&w.en, &mut uses);
-        }
-        if let NodeKind::Reg { reset: Some(r) } = &node.kind {
-            uses[r.signal.index()].full_uses += 1;
+        SplitState {
+            uses,
+            users: rebuild::Users::new(graph),
+            removed: vec![false; graph.num_nodes()],
         }
     }
 
-    // Pick candidates and build their interval partitions.
-    let mut plans: Vec<(NodeId, Vec<(u32, u32)>)> = Vec::new();
-    for (id, node) in graph.iter() {
-        if !matches!(node.kind, NodeKind::Comb) || node.signed || node.width < 2 {
-            continue;
+    /// The split of node `id`, if it is a candidate: unsigned
+    /// combinational, only sliced, cut at least once inside, and
+    /// decomposable along every interval.
+    fn plan(&self, graph: &Graph, id: NodeId) -> Option<Plan> {
+        let node = graph.node(id);
+        if self.removed[id.index()]
+            || !matches!(node.kind, NodeKind::Comb)
+            || node.signed
+            || node.width < 2
+        {
+            return None;
         }
-        let summary = &uses[id.index()];
+        let summary = &self.uses[id.index()];
         if summary.full_uses > 0 || summary.slices.is_empty() {
-            continue;
+            return None;
         }
         let mut cuts: Vec<u32> = vec![0, node.width];
         for &(lo, hi) in &summary.slices {
@@ -92,88 +135,126 @@ fn split_round(graph: &mut Graph) -> usize {
         cuts.sort_unstable();
         cuts.dedup();
         if cuts.len() <= 2 {
-            continue; // single interval — nothing to split
+            return None; // single interval — nothing to split
         }
-        let Some(expr) = &node.expr else { continue };
+        let expr = node.expr.as_ref()?;
         let intervals: Vec<(u32, u32)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
-        // All intervals must be decomposable.
-        if intervals
+        let parts = intervals
             .iter()
-            .all(|&(lo, hi)| decompose(expr, lo, hi).is_some())
-        {
-            plans.push((id, intervals));
-        }
-    }
-    if plans.is_empty() {
-        return 0;
-    }
-
-    // Create part nodes.
-    let mut parts_of: HashMap<NodeId, Vec<(u32, u32, NodeId)>> = HashMap::new();
-    for (id, intervals) in &plans {
-        let node = graph.node(*id);
-        let base_name = if node.name.is_empty() {
-            format!("{id}")
-        } else {
-            node.name.clone()
-        };
-        let expr = node.expr.clone().expect("candidate has expr");
-        let mut parts = Vec::with_capacity(intervals.len());
-        for &(lo, hi) in intervals {
-            let part_expr = decompose(&expr, lo, hi).expect("checked decomposable");
-            debug_assert_eq!(part_expr.width, hi - lo);
-            let part = graph.push_node(Node {
-                name: format!("{base_name}${hi}_{lo}"),
-                kind: NodeKind::Comb,
-                width: hi - lo,
-                signed: false,
-                expr: Some(part_expr),
-                write: None,
-            });
-            parts.push((lo, hi, part));
-        }
-        parts_of.insert(*id, parts);
+            .map(|&(lo, hi)| decompose(expr, lo, hi))
+            .collect::<Option<Vec<Expr>>>()?;
+        Some(Plan {
+            id,
+            intervals,
+            parts,
+        })
     }
 
-    // Rewrite consumers: every bits(split_node, hi, lo) becomes the
-    // concatenation of the covering parts (always aligned, because the
-    // cuts came from these very slices).
-    let ids: Vec<NodeId> = graph.node_ids().collect();
-    for id in ids {
-        // Skip the new part nodes themselves (their exprs reference the
-        // *operands* of the split node, never the split node).
-        let node = graph.node_mut(id);
-        if let Some(e) = &mut node.expr {
-            rewrite_slices(e, &parts_of);
+    /// Applies one round's plans and returns the nodes the next round
+    /// must check: the new parts and every node whose uses changed.
+    fn apply(&mut self, graph: &mut Graph, mut plans: Vec<Plan>) -> Vec<NodeId> {
+        let mut next: Vec<NodeId> = Vec::new();
+        let mut parts_of: HashMap<NodeId, Vec<(u32, u32, NodeId)>> = HashMap::new();
+        for plan in &mut plans {
+            let node = graph.node(plan.id);
+            let base_name = if node.name.is_empty() {
+                // The id this node has once earlier rounds' splits are
+                // compacted away.
+                let earlier = self.removed[..plan.id.index()]
+                    .iter()
+                    .filter(|&&r| r)
+                    .count();
+                format!("{}", NodeId::from_index(plan.id.index() - earlier))
+            } else {
+                node.name.clone()
+            };
+            let mut parts = Vec::with_capacity(plan.parts.len());
+            for (&(lo, hi), part_expr) in plan.intervals.iter().zip(plan.parts.drain(..)) {
+                debug_assert_eq!(part_expr.width, hi - lo);
+                classify(&part_expr, &mut self.uses, true, &mut next);
+                let part = graph.push_node(Node {
+                    name: format!("{base_name}${hi}_{lo}"),
+                    kind: NodeKind::Comb,
+                    width: hi - lo,
+                    signed: false,
+                    expr: Some(part_expr),
+                    write: None,
+                });
+                self.uses.push(UseSummary::default());
+                self.removed.push(false);
+                self.users.record(part, graph.node(part).exprs());
+                next.push(part);
+                parts.push((lo, hi, part));
+            }
+            parts_of.insert(plan.id, parts);
         }
-        if let Some(w) = &mut node.write {
-            rewrite_slices(&mut w.addr, &parts_of);
-            rewrite_slices(&mut w.data, &parts_of);
-            rewrite_slices(&mut w.en, &parts_of);
+        // The split nodes leave the graph, and their uses with them.
+        for plan in &plans {
+            let expr = graph
+                .node(plan.id)
+                .expr
+                .as_ref()
+                .expect("split node has expr");
+            classify(expr, &mut self.uses, false, &mut next);
+            self.removed[plan.id.index()] = true;
         }
+
+        // Rewrite consumers: every bits(split_node, hi, lo) becomes the
+        // concatenation of the covering parts (always aligned, because the
+        // cuts came from these very slices).
+        let split: Vec<NodeId> = plans.iter().map(|p| p.id).collect();
+        for user in self.users.of(&split, graph.num_nodes()) {
+            if self.removed[user.index()] {
+                continue;
+            }
+            for e in graph.node_mut(user).exprs_mut() {
+                classify(e, &mut self.uses, false, &mut next);
+                rewrite_slices(e, &parts_of);
+                classify(e, &mut self.uses, true, &mut next);
+            }
+            self.users.record(user, graph.node(user).exprs());
+            next.push(user);
+        }
+        next
     }
-    // Split nodes are now unreferenced; drop them.
-    let keep: Vec<bool> = (0..graph.num_nodes())
-        .map(|i| !parts_of.contains_key(&NodeId::from_index(i)))
-        .collect();
-    *graph = crate::rebuild::retain_nodes(graph, &keep);
-    plans.len()
 }
 
-fn classify_expr(e: &Expr, uses: &mut [UseSummary]) {
+/// Adds (`add`) or removes the uses in `e` to or from the summaries,
+/// and lists every node whose summary moved in `touched`. A use is a
+/// slice only when the reference appears directly inside
+/// `bits(, hi, lo)`.
+fn classify(e: &Expr, uses: &mut [UseSummary], add: bool, touched: &mut Vec<NodeId>) {
     match &e.kind {
-        ExprKind::Ref(id) => uses[id.index()].full_uses += 1,
+        ExprKind::Ref(id) => {
+            let summary = &mut uses[id.index()];
+            if add {
+                summary.full_uses += 1;
+            } else {
+                summary.full_uses -= 1;
+            }
+            touched.push(*id);
+        }
         ExprKind::Const(_) => {}
         ExprKind::Prim(op, args, params) => {
             if *op == PrimOp::Bits {
                 if let ExprKind::Ref(id) = &args[0].kind {
-                    let (hi, lo) = (params[0], params[1]);
-                    uses[id.index()].slices.push((lo, hi + 1));
+                    let slice = (params[1], params[0] + 1);
+                    let slices = &mut uses[id.index()].slices;
+                    if add {
+                        slices.push(slice);
+                    } else {
+                        let at = slices
+                            .iter()
+                            .position(|&s| s == slice)
+                            .expect("removed slice was recorded");
+                        slices.swap_remove(at);
+                    }
+                    touched.push(*id);
                     return;
                 }
             }
             for a in args {
-                classify_expr(a, uses);
+                classify(a, uses, add, touched);
             }
         }
     }

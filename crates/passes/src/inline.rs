@@ -11,9 +11,23 @@
 //!   times (after inlining or straight from the front end) whose
 //!   duplicated evaluation costs more than a shared node are hoisted
 //!   into new nodes.
+//!
+//! Both cost one sweep plus work proportional to what they change.
+//! Inlining substitutes in place, in topological order, so an inlined
+//! operand is final before any user copies it, and its last user takes
+//! the expression itself rather than a copy. Extraction hashes every
+//! subexpression once, bottom-up, compares trees only within hash
+//! buckets that pass the cost filter, and hoists each candidate by
+//! visiting only the nodes it occurs in. That finds every occurrence:
+//! candidates go largest first, and hoisting a larger one can only
+//! remove occurrences of a smaller one or move them into the new shared
+//! node.
 
+use crate::rebuild;
 use gsim_graph::{Expr, ExprKind, Graph, NodeId, NodeKind};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// Abstract cost of having a node at all (active-bit bookkeeping,
 /// activation, storage) in the same "operator" units as
@@ -36,6 +50,9 @@ pub fn inline_cheap(graph: &mut Graph) -> usize {
     // Nodes that must stay: everything that is not plain comb logic,
     // plus register reset signals (the engine needs them as nodes).
     let mut must_stay = vec![false; n];
+    // Textual reference counts (occurrences, not distinct users):
+    // duplicated evaluation is per occurrence.
+    let mut refcount = vec![0u32; n];
     for (id, node) in graph.iter() {
         match &node.kind {
             NodeKind::Comb => {}
@@ -44,16 +61,13 @@ pub fn inline_cheap(graph: &mut Graph) -> usize {
         if let NodeKind::Reg { reset: Some(r) } = &node.kind {
             must_stay[r.signal.index()] = true;
         }
+        node.for_each_dep(|dep| refcount[dep.index()] += 1);
     }
-
-    // Textual reference counts (occurrences, not distinct users):
-    // duplicated evaluation is per occurrence.
-    let mut refcount = vec![0u32; n];
-    for (_, node) in graph.iter() {
-        for dep in node.dep_refs() {
-            refcount[dep.index()] += 1;
-        }
-    }
+    // Substitution takes one copy of an inlined expression per textual
+    // reference, counted before the decisions below grow `refcount`
+    // (reset-signal references are counted too, but reset signals are
+    // never inlined).
+    let mut copies_left = refcount.clone();
 
     // Decide in forward topological order, tracking each candidate's
     // *effective* cost — its own operators plus the effective cost of
@@ -67,11 +81,11 @@ pub fn inline_cheap(graph: &mut Graph) -> usize {
         let node = graph.node(id);
         let Some(expr) = &node.expr else { continue };
         let mut cost = expr.op_cost().max(1);
-        for dep in expr.refs() {
+        rebuild::for_each_ref([expr], |dep| {
             if inline[dep.index()] {
                 cost = cost.saturating_add(eff_cost[dep.index()]);
             }
-        }
+        });
         eff_cost[id.index()] = cost;
         if must_stay[id.index()] {
             continue;
@@ -89,9 +103,7 @@ pub fn inline_cheap(graph: &mut Graph) -> usize {
             // Every reference inside f now occurs `refs` times.
             let extra = refs - 1;
             if extra > 0 {
-                for dep in expr.refs() {
-                    refcount[dep.index()] += extra;
-                }
+                rebuild::for_each_ref([expr], |dep| refcount[dep.index()] += extra);
             }
         }
     }
@@ -101,169 +113,228 @@ pub fn inline_cheap(graph: &mut Graph) -> usize {
         return 0;
     }
 
-    // Substitute in topological order (operands before users) so each
-    // inlined node's final expression is ready when consumers need it.
-    let mut final_expr: Vec<Option<Expr>> = vec![None; n];
-    let subst = |e: &Expr, final_expr: &[Option<Expr>], inline: &[bool]| -> Expr {
-        let mut out = e.clone();
-        out.visit_mut(&mut |sub| {
-            if let ExprKind::Ref(r) = &sub.kind {
-                if inline[r.index()] {
-                    *sub = final_expr[r.index()]
-                        .clone()
-                        .expect("inlined operand processed before user");
-                }
-            }
-        });
-        out
-    };
+    // Substitute in place, in topological order (operands before
+    // users): an inlined operand's expression is already final when a
+    // user copies it, so one level of substitution suffices. The last
+    // copy moves the expression instead of cloning it.
     for &id in &order {
-        let node = graph.node(id);
-        if let Some(e) = &node.expr {
-            let new = subst(e, &final_expr, &inline);
-            final_expr[id.index()] = Some(new);
-        }
-    }
-    // Install substituted expressions everywhere.
-    let ids: Vec<NodeId> = graph.node_ids().collect();
-    for id in ids {
-        if let Some(e) = final_expr[id.index()].take() {
-            graph.node_mut(id).expr = Some(e);
-        }
-        let node = graph.node(id);
-        if let Some(w) = node.write.clone() {
-            let mut w = w;
-            // final_expr entries were taken; recompute lazily for writes.
-            w.addr = subst_into(&w.addr, graph, &inline);
-            w.data = subst_into(&w.data, graph, &inline);
-            w.en = subst_into(&w.en, graph, &inline);
-            graph.node_mut(id).write = Some(w);
-        }
+        rebuild::edit_exprs(graph, id, |e, graph| {
+            e.visit_mut(&mut |sub| {
+                if let ExprKind::Ref(r) = sub.kind {
+                    if inline[r.index()] {
+                        let left = &mut copies_left[r.index()];
+                        *left -= 1;
+                        let def = &mut graph.node_mut(r).expr;
+                        let copy = if *left == 0 { def.take() } else { def.clone() };
+                        *sub = copy.expect("inlined node has expression");
+                    }
+                }
+            });
+        });
     }
     // Inlined nodes are now unreferenced; drop them.
-    let keep: Vec<bool> = (0..n).map(|i| !inline[i]).collect();
-    *graph = crate::rebuild::retain_nodes(graph, &keep);
+    let keep: Vec<bool> = inline.iter().map(|&i| !i).collect();
+    *graph = rebuild::retain_nodes(std::mem::take(graph), &keep);
     inlined
 }
 
-/// Recursive substitution that reads final expressions straight from the
-/// (already substituted) graph.
-fn subst_into(e: &Expr, graph: &Graph, inline: &[bool]) -> Expr {
-    let mut out = e.clone();
-    out.visit_mut(&mut |sub| {
-        if let ExprKind::Ref(r) = &sub.kind {
-            if inline[r.index()] {
-                let inner = graph
-                    .node(*r)
-                    .expr
-                    .clone()
-                    .expect("inlined node has expression");
-                *sub = subst_into(&inner, graph, inline);
-            }
+/// A small multiplicative hasher for the structural hashes of
+/// [`extract_common`]; equal expressions hash equally, and a collision
+/// only costs an exact comparison.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
-    });
-    out
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `(structural hash, operator cost)` of a subexpression.
+type Key = (u64, u32);
+
+/// Hashes `e` bottom-up and returns its key; calls `f` with every
+/// subexpression worth counting (an operator tree of cost ≥ 2), children
+/// before parents. Nothing is cloned.
+fn hash_walk<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr, Key)) -> Key {
+    let mut h = FxHasher::default();
+    (e.width, e.signed).hash(&mut h);
+    let cost = match &e.kind {
+        ExprKind::Const(v) => {
+            (0u8, v).hash(&mut h);
+            0
+        }
+        ExprKind::Ref(id) => {
+            (1u8, id).hash(&mut h);
+            0
+        }
+        ExprKind::Prim(op, args, params) => {
+            (2u8, op).hash(&mut h);
+            for &p in params {
+                h.write_u32(p);
+            }
+            let mut cost = op.cost();
+            for a in args {
+                let (ah, ac) = hash_walk(a, f);
+                h.write_u64(ah);
+                cost += ac;
+            }
+            cost
+        }
+    };
+    let key = (h.finish(), cost);
+    if matches!(e.kind, ExprKind::Prim(..)) && cost >= 2 {
+        f(e, key);
+    }
+    key
+}
+
+/// The extraction criterion: `count` copies of a tree of cost `cost`
+/// are worth one shared node.
+fn worth_sharing(cost: u32, count: u64) -> bool {
+    let cost = u64::from(cost);
+    count >= 2 && cost * count > cost + u64::from(COST_NODE)
+}
+
+/// One structurally distinct subexpression worth hoisting.
+struct Candidate {
+    expr: Expr,
+    cost: u32,
+    count: u32,
+    /// The nodes it occurs in, ascending.
+    sites: Vec<NodeId>,
 }
 
 /// Extracts common subexpressions whose duplicated evaluation costs more
 /// than a shared node (`cost × count > cost + cost_node`). Returns the
 /// number of new nodes created.
 pub fn extract_common(graph: &mut Graph) -> usize {
-    // Count structurally identical subexpressions across the graph.
-    let mut counts: HashMap<Expr, u32> = HashMap::new();
+    // Count subexpressions by (hash, cost): sorted, equal keys sit
+    // together. A key whose run fails the filter holds no candidate:
+    // its exact classes are no larger.
+    let mut keys: Vec<Key> = Vec::new();
     for (_, node) in graph.iter() {
-        let mut record = |e: &Expr| {
-            e.visit(&mut |sub| {
-                if matches!(sub.kind, ExprKind::Prim(..)) && sub.op_cost() >= 2 {
-                    *counts.entry(sub.clone()).or_insert(0) += 1;
+        for e in node.exprs() {
+            hash_walk(e, &mut |_, key| keys.push(key));
+        }
+    }
+    keys.sort_unstable();
+    let buckets: HashSet<Key> = keys
+        .chunk_by(|a, b| a == b)
+        .filter(|run| worth_sharing(run[0].1, run.len() as u64))
+        .map(|run| run[0])
+        .collect();
+    drop(keys);
+    if buckets.is_empty() {
+        return 0;
+    }
+
+    // Split the surviving buckets into exact classes and record where
+    // each occurs.
+    let mut classes: HashMap<Key, Vec<Candidate>> = HashMap::new();
+    for (id, node) in graph.iter() {
+        for e in node.exprs() {
+            hash_walk(e, &mut |sub, key| {
+                if !buckets.contains(&key) {
+                    return;
+                }
+                let bucket = classes.entry(key).or_default();
+                let class = match bucket.iter_mut().position(|c| c.expr == *sub) {
+                    Some(i) => &mut bucket[i],
+                    None => {
+                        bucket.push(Candidate {
+                            expr: sub.clone(),
+                            cost: key.1,
+                            count: 0,
+                            sites: Vec::new(),
+                        });
+                        bucket.last_mut().expect("just pushed")
+                    }
+                };
+                class.count += 1;
+                if class.sites.last() != Some(&id) {
+                    class.sites.push(id);
                 }
             });
-        };
-        if let Some(e) = &node.expr {
-            record(e);
-        }
-        if let Some(w) = &node.write {
-            record(&w.addr);
-            record(&w.data);
-            record(&w.en);
         }
     }
 
     // Candidates by descending cost so larger shared trees win first.
-    let mut candidates: Vec<(Expr, u32)> = counts
-        .into_iter()
-        .filter(|(e, c)| {
-            let cost = e.op_cost() as u64;
-            *c >= 2 && cost * (*c as u64) > cost + COST_NODE as u64
-        })
+    let mut candidates: Vec<Candidate> = classes
+        .into_values()
+        .flatten()
+        .filter(|c| worth_sharing(c.cost, u64::from(c.count)))
         .collect();
-    candidates.sort_by(|a, b| {
-        (b.0.op_cost(), b.1)
-            .cmp(&(a.0.op_cost(), a.1))
-            .then_with(|| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)))
-    });
+    candidates.sort_by_cached_key(|c| (Reverse(c.cost), Reverse(c.count), format!("{:?}", c.expr)));
 
-    let mut created = 0;
-    for (expr, _) in candidates {
+    // A candidate can only occur in its original sites or inside a node
+    // hoisted before it (a larger tree that contained it), so those are
+    // the only nodes recounted and rewritten.
+    let mut hoisted: Vec<NodeId> = Vec::new();
+    for cand in candidates {
+        let expr = &cand.expr;
+        let sites: Vec<NodeId> = cand.sites.iter().chain(&hoisted).copied().collect();
         // Recheck the count: earlier extractions may have absorbed this.
         let mut occurrences = 0;
-        for (_, node) in graph.iter() {
-            let mut count_in = |e: &Expr| {
+        for &id in &sites {
+            for e in graph.node(id).exprs() {
                 e.visit(&mut |sub| {
-                    if *sub == expr {
+                    if sub == expr {
                         occurrences += 1;
                     }
                 });
-            };
-            if let Some(e) = &node.expr {
-                count_in(e);
-            }
-            if let Some(w) = &node.write {
-                count_in(&w.addr);
-                count_in(&w.data);
-                count_in(&w.en);
             }
         }
-        let cost = expr.op_cost() as u64;
-        if occurrences < 2 || cost * occurrences <= cost + COST_NODE as u64 {
+        if !worth_sharing(cand.cost, occurrences) {
             continue;
         }
-        // Hoist: new node; replace each occurrence by a reference.
-        let name = format!("_cse{}", graph.num_nodes());
-        let new_id = graph.push_node(gsim_graph::Node {
-            name,
-            kind: NodeKind::Comb,
-            width: expr.width,
-            signed: expr.signed,
-            expr: Some(expr.clone()),
-            write: None,
-        });
+        // Hoist: replace each occurrence by a reference to a new node.
+        let new_id = NodeId::from_index(graph.num_nodes());
         let reference = Expr::reference(new_id, expr.width, expr.signed);
-        let ids: Vec<NodeId> = graph.node_ids().collect();
-        for id in ids {
-            if id == new_id {
-                continue;
-            }
-            let replace = |e: &mut Expr| {
+        for &id in &sites {
+            for e in graph.node_mut(id).exprs_mut() {
                 e.visit_mut(&mut |sub| {
-                    if *sub == expr {
+                    if sub == expr {
                         *sub = reference.clone();
                     }
                 });
-            };
-            let node = graph.node_mut(id);
-            if let Some(e) = &mut node.expr {
-                replace(e);
-            }
-            if let Some(w) = &mut node.write {
-                replace(&mut w.addr);
-                replace(&mut w.data);
-                replace(&mut w.en);
             }
         }
-        created += 1;
+        graph.push_node(gsim_graph::Node {
+            name: format!("_cse{}", new_id.index()),
+            kind: NodeKind::Comb,
+            width: reference.width,
+            signed: reference.signed,
+            expr: Some(cand.expr),
+            write: None,
+        });
+        hoisted.push(new_id);
     }
-    created
+    hoisted.len()
 }
 
 #[cfg(test)]

@@ -23,6 +23,31 @@
 //!   optimization is *disabled*.
 //!
 //! [`run`] applies a configured pipeline in a sensible fixed order.
+//!
+//! # Cost
+//!
+//! Every pass costs one sweep over the graph plus work proportional to
+//! what it changes, and rewrites expressions in place or moves them —
+//! nothing copies the graph. Each keeps one invariant that makes its
+//! shortcut give exactly what whole-graph rounds give:
+//!
+//! * [`simplify`] revisits only nodes whose expressions the previous
+//!   round changed and users of new one-hot sources; any other node
+//!   would rewrite to itself, because a rewrite reads only the node's
+//!   own expressions and the round-start one-hot table.
+//! * [`bitsplit`] keeps every node's use summary current as expressions
+//!   change, so it re-checks only new parts and nodes whose uses moved;
+//!   nothing else can have become a candidate.
+//! * [`inline`] substitutes in topological order, so every copied
+//!   expression is already final; extraction rewrites only the nodes a
+//!   candidate occurs in, which hoisting larger candidates first can
+//!   only shrink.
+//! * [`redundant`] is one alias sweep, one reachability walk from the
+//!   sinks and one compaction.
+//!
+//! Compaction ([`rebuild::retain_nodes`]) moves the kept nodes, in
+//! order, and remaps references in place; splitting compacts once per
+//! call, after its last round.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

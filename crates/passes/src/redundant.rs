@@ -80,12 +80,12 @@ pub fn remove_dead(graph: &mut Graph) -> usize {
         }
     }
     while let Some(id) = stack.pop() {
-        for dep in graph.node(id).dep_refs() {
+        graph.node(id).for_each_dep(|dep| {
             if !live[dep.index()] {
                 live[dep.index()] = true;
                 stack.push(dep);
             }
-        }
+        });
     }
     // Inputs are interface; keep them even if unread.
     for (id, node) in graph.iter() {
@@ -95,7 +95,7 @@ pub fn remove_dead(graph: &mut Graph) -> usize {
     }
     let dead = live.iter().filter(|&&l| !l).count();
     if dead > 0 {
-        *graph = rebuild::retain_nodes(graph, &live);
+        *graph = rebuild::retain_nodes(std::mem::take(graph), &live);
     }
     dead
 }

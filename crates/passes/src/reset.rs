@@ -26,7 +26,6 @@ pub fn lower_resets_to_mux(graph: &mut Graph) -> usize {
         };
         let (signal, init) = (r.signal, r.init.clone());
         let (w, s) = (node.width, node.signed);
-        let next = node.expr.clone().expect("register has next expression");
         let init_expr = if s {
             Expr::constant_signed(init)
         } else {
@@ -41,9 +40,10 @@ pub fn lower_resets_to_mux(graph: &mut Graph) -> usize {
         } else {
             Expr::prim(PrimOp::Orr, vec![sel], vec![]).expect("orr")
         };
+        let node = graph.node_mut(id);
+        let next = node.expr.take().expect("register has next expression");
         let mux = Expr::prim(PrimOp::Mux, vec![sel, init_expr, next], vec![]).expect("reset mux");
         debug_assert_eq!(mux.width, w);
-        let node = graph.node_mut(id);
         node.expr = Some(mux);
         node.kind = NodeKind::Reg { reset: None };
         count += 1;
