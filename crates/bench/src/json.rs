@@ -1,11 +1,12 @@
-//! A minimal JSON reader for the bench-regression gate.
+//! A minimal JSON reader for the benchmark's documents.
 //!
-//! The vendored dependency set has no serde; `BENCH_interp.json` is
-//! small and flat, so a ~150-line recursive-descent parser covers the
-//! gate's needs (key lookup, number/string extraction) without pulling
-//! anything in. Parsing is strict enough to reject truncated files but
-//! deliberately does not implement the full spec (no `\uXXXX` escapes
-//! beyond pass-through, no exponent edge-cases past `f64::parse`).
+//! The vendored dependency set has no serde; `BENCHMARK.json` and the
+//! benchmark's result lines are small and flat, so a ~150-line
+//! recursive-descent parser covers their needs (key lookup,
+//! number/string extraction) without pulling anything in. Parsing is
+//! strict enough to reject truncated files but deliberately does not
+//! implement the full spec (no `\uXXXX` escapes beyond pass-through, no
+//! exponent edge-cases past `f64::parse`).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,8 +18,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (kept as `f64`; the gate compares counters through
-    /// ratios, so 53 bits of mantissa are plenty).
+    /// Any number (kept as `f64`; metrics are compared through ratios,
+    /// so 53 bits of mantissa are plenty).
     Num(f64),
     /// A string (escapes resolved for the common cases).
     Str(String),
@@ -300,9 +301,10 @@ mod tests {
 
     #[test]
     fn parses_committed_bench_file() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json");
         let text = std::fs::read_to_string(path).unwrap();
         let j = parse(&text).unwrap();
-        assert!(j.get("dispatch").unwrap().as_arr().unwrap().len() >= 4);
+        assert_eq!(j.get("workloads").unwrap().as_arr().unwrap().len(), 4);
+        assert!(!j.get("end_to_end").unwrap().as_arr().unwrap().is_empty());
     }
 }

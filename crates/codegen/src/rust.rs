@@ -1862,6 +1862,9 @@ fn serve(mut sim: Sim) {
     // the per-cycle cost is then one `is_empty` test.
     let mut traced: Vec<usize> = Vec::new();
     let mut trace_shadow: Vec<String> = Vec::new();
+    // A subscription of only zero-width signals is active yet traces
+    // nothing, so activity is its own flag.
+    let mut tracing = false;
     let mut buf = Vec::new();
     loop {
         match wire::read_line(&mut input, &mut buf) {
@@ -1890,7 +1893,14 @@ fn serve(mut sim: Sim) {
         match cmd {
             Command::Poke { name, hex } => {
                 if !sim.poke(name, &hex_words(hex)) {
-                    queued.push(format!("err unknown-input {name}"));
+                    // Same classes as the in-process session: a known
+                    // signal that is not an input, or no such signal.
+                    let class = if SIGNALS_META.iter().any(|&(s, _)| s == name) {
+                        "unknown-input"
+                    } else {
+                        "unknown-signal"
+                    };
+                    queued.push(format!("err {class} {name}"));
                 }
             }
             Command::Step(n) => {
@@ -1969,6 +1979,10 @@ fn serve(mut sim: Sim) {
                 }
             }
             Command::TraceOn(names) => {
+                if tracing {
+                    queued.push("err config a trace is already active on this session".into());
+                    continue;
+                }
                 let mut sel: Vec<usize> = Vec::new();
                 let mut unknown = None;
                 if names.is_empty() {
@@ -1984,8 +1998,7 @@ fn serve(mut sim: Sim) {
                     queued.push(format!("err unknown-signal {n}"));
                     continue;
                 }
-                traced.clear();
-                trace_shadow.clear();
+                tracing = true;
                 for i in sel {
                     // Zero-width signals carry no values; they are
                     // silently excluded, exactly as the in-process
@@ -2003,6 +2016,10 @@ fn serve(mut sim: Sim) {
                 }
             }
             Command::TraceOff => {
+                if !tracing {
+                    queued.push("err config no trace is active on this session".into());
+                }
+                tracing = false;
                 traced.clear();
                 trace_shadow.clear();
             }

@@ -9,7 +9,6 @@
 //!                 [--max-supernode-size N]     # the paper's CLI knob
 //!                 [--no-fuse]                  # ablate superinstruction fusion
 //!                 [--no-layout]                # ablate the locality state layout
-//!                 [--no-threaded]              # ablate threaded-code dispatch (jit)
 //!                 [--cycles N]                 # simulate (zero inputs)
 //!                 [--vcd out.vcd]              # change-driven waveform capture
 //!                 [--emit-cpp out.cc]
@@ -51,7 +50,6 @@ fn main() {
     let mut max_size: Option<usize> = None;
     let mut no_fuse = false;
     let mut no_layout = false;
-    let mut no_threaded = false;
     let mut cycles: u64 = 0;
     let mut vcd: Option<String> = None;
     let mut emit_cpp: Option<String> = None;
@@ -90,7 +88,6 @@ fn main() {
             }
             "--no-fuse" => no_fuse = true,
             "--no-layout" => no_layout = true,
-            "--no-threaded" => no_threaded = true,
             "--cycles" => cycles = parse(it.next(), "--cycles"),
             "--vcd" => vcd = it.next().cloned(),
             "--emit-cpp" => emit_cpp = it.next().cloned(),
@@ -129,12 +126,6 @@ fn main() {
     if no_layout {
         opts.locality_layout = false;
     }
-    if no_threaded {
-        if backend != "jit" {
-            die("--no-threaded ablates the jit backend's threaded-code dispatch (use --backend jit)");
-        }
-        opts.threaded_dispatch = false;
-    }
     if backend == "jit" {
         if threads.is_some() {
             die("--threads does not apply to the jit backend");
@@ -156,10 +147,10 @@ fn main() {
         if emit_cpp.is_some() {
             die("--emit-cpp does not apply to the aot backend (use --emit-rust)");
         }
-        if no_fuse || no_layout || no_threaded {
+        if no_fuse || no_layout {
             // Interpreter-image ablations; the compiled binary has no
-            // instruction stream to fuse, lower, or relayout.
-            die("--no-fuse/--no-layout/--no-threaded ablate the interpreter's execution image and do not apply to the aot backend");
+            // instruction stream to fuse or relayout.
+            die("--no-fuse/--no-layout ablate the interpreter's execution image and do not apply to the aot backend");
         }
         run_aot(
             &graph,
@@ -699,7 +690,7 @@ fn usage() {
     println!(
         "gsim <design.fir> [--preset gsim|verilator|essent|arcilator] \
          [--backend interp|jit|aot] [--threads N] [--max-supernode-size N] \
-         [--no-fuse] [--no-layout] [--no-threaded] [--cycles N] [--vcd out.vcd] \
+         [--no-fuse] [--no-layout] [--cycles N] [--vcd out.vcd] \
          [--emit-cpp out.cc] [--emit-rust out.rs]\n\
          gsim serve --socket <ep> --cache-dir <dir> [--cache-capacity N] \
          [--max-sessions N] [--idle-timeout SECS] [--faults SPEC]\n\

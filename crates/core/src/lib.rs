@@ -233,11 +233,6 @@ pub struct OptOptions {
     /// instruction pairs in the execution image (substrate-level;
     /// bit-identical results — the `--no-fuse` ablation).
     pub superinstruction_fusion: bool,
-    /// ⑫ threaded-code dispatch: lower the execution image into
-    /// pre-resolved handler records at compile time. Only effective
-    /// under [`EngineChoice::Threaded`]; off is the `--no-threaded`
-    /// ablation (substrate-level; bit-identical results).
-    pub threaded_dispatch: bool,
     /// Maximum supernode size (the paper's command-line knob; Fig. 9).
     pub max_supernode_size: usize,
 }
@@ -259,7 +254,6 @@ impl OptOptions {
             bit_split: false,
             locality_layout: false,
             superinstruction_fusion: false,
-            threaded_dispatch: false,
             max_supernode_size: PartitionOptions::DEFAULT_MAX_SIZE,
         }
     }
@@ -279,7 +273,6 @@ impl OptOptions {
             bit_split: true,
             locality_layout: true,
             superinstruction_fusion: true,
-            threaded_dispatch: true,
             max_supernode_size: PartitionOptions::DEFAULT_MAX_SIZE,
         }
     }
@@ -365,7 +358,6 @@ impl OptOptions {
             reset_slow_path: self.reset_slow_path,
             superinstr_fusion: self.superinstruction_fusion,
             locality_layout: self.locality_layout,
-            threaded_dispatch: self.threaded_dispatch,
         })
     }
 }

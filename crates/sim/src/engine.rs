@@ -106,12 +106,12 @@ pub struct Simulator {
     reset_snap: Vec<bool>,
     counters: Counters,
     cycle: u64,
-    /// The lowered threaded-code program ([`EngineKind::Threaded`] with
-    /// `threaded_dispatch` on). When present, `state` is the combined
-    /// `[state | scratch | consts]` arena the records index into; the
-    /// persistent state occupies the prefix at unchanged offsets, so
-    /// every poke/peek/commit/snapshot path works untouched. Shared
-    /// (`Arc`) with forks, like the compiled design.
+    /// The lowered threaded-code program, present exactly when the
+    /// engine is [`EngineKind::Threaded`]. When present, `state` is the
+    /// combined `[state | scratch | consts]` arena the records index
+    /// into; the persistent state occupies the prefix at unchanged
+    /// offsets, so every poke/peek/commit/snapshot path works untouched.
+    /// Shared (`Arc`) with forks, like the compiled design.
     threaded: Option<Arc<ThreadedProg>>,
     /// Saved states for [`Session::snapshot`] / [`Session::restore`].
     snapshots: Vec<SimSnapshot>,
@@ -168,8 +168,7 @@ impl Simulator {
     pub fn compile(graph: &Graph, opts: &SimOptions) -> Result<Simulator, CompileError> {
         let mut c = compile::compile(graph, opts)?;
         let mems = std::mem::take(&mut c.mems);
-        let threaded = (opts.engine == EngineKind::Threaded && opts.threaded_dispatch)
-            .then(|| Arc::new(threaded::lower(&c)));
+        let threaded = (opts.engine == EngineKind::Threaded).then(|| Arc::new(threaded::lower(&c)));
         let state = match &threaded {
             // Combined arena: persistent state in the prefix (same
             // offsets as the plain engines), scratch and the const
@@ -581,7 +580,7 @@ impl Simulator {
     }
 
     /// Time the threaded-code lowering pass took at compile time
-    /// (zero for other engines and under the `--no-threaded` ablation).
+    /// (zero for other engines).
     pub fn lowering_time(&self) -> std::time::Duration {
         self.threaded
             .as_ref()
@@ -764,12 +763,10 @@ impl Simulator {
     // ----- threaded-code essential-signal -----
 
     fn step_threaded(&mut self) {
-        let Some(prog) = &self.threaded else {
-            // `--no-threaded` ablation: identical semantics through
-            // the plain essential interpreter.
-            self.step_essential();
-            return;
-        };
+        let prog = self
+            .threaded
+            .as_ref()
+            .expect("the threaded engine is always lowered at compile time");
         {
             let mut ctx = threaded::TCtx {
                 mem: &mut self.state[..],
@@ -1230,13 +1227,6 @@ circuit Counter :
             ("gsim-mt2", SimOptions::essential_mt(2)),
             ("gsim-mt4", SimOptions::essential_mt(4)),
             ("gsim-jit", SimOptions::threaded()),
-            (
-                "gsim-jit-ablated",
-                SimOptions {
-                    threaded_dispatch: false,
-                    ..SimOptions::threaded()
-                },
-            ),
         ]
     }
 

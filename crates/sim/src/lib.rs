@@ -181,13 +181,6 @@ pub struct SimOptions {
     /// combinational slot spaces and number combinational slots in
     /// sweep order. Off reproduces the legacy interleaved numbering.
     pub locality_layout: bool,
-    /// Threaded-code dispatch: lower the execution image into
-    /// pre-resolved handler records at compile time (the
-    /// [`EngineKind::Threaded`] hot loop). When `false` the threaded
-    /// engine falls back to the plain essential interpreter — the
-    /// `--no-threaded` ablation. Purely a substrate optimization —
-    /// results and semantic counters are bit-identical either way.
-    pub threaded_dispatch: bool,
 }
 
 impl Default for SimOptions {
@@ -201,7 +194,6 @@ impl Default for SimOptions {
             reset_slow_path: true,
             superinstr_fusion: true,
             locality_layout: true,
-            threaded_dispatch: true,
         }
     }
 }
@@ -240,7 +232,6 @@ impl SimOptions {
             reset_slow_path: false,
             superinstr_fusion: false,
             locality_layout: false,
-            threaded_dispatch: false,
         }
     }
 

@@ -244,17 +244,8 @@ fn engine_matrix() -> Vec<(&'static str, SimOptions)> {
             },
         ),
         // Threaded-code backend: the lowered handler records must be
-        // bit-identical to the reference, with and without the
-        // `--no-threaded` ablation (which falls back to the plain
-        // essential interpreter under the same engine kind).
+        // bit-identical to the reference.
         ("gsim-threaded", SimOptions::threaded()),
-        (
-            "gsim-threaded-ablated",
-            SimOptions {
-                threaded_dispatch: false,
-                ..SimOptions::threaded()
-            },
-        ),
         (
             "gsim-threaded-no-fuse",
             SimOptions {

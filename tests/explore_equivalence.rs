@@ -353,6 +353,7 @@ fn aot_pool_matches_sequential_replay() {
         .expect("exploration");
     assert_eq!(report.branches.len(), 6);
     assert!(report.forks > 0, "the compiled backend must fork its pool");
+    assert_eq!(report.total_retries(), 0, "a healthy pool never retries");
     for b in &report.branches {
         let golden = refinterp_replay(&graph, &warm, &base, b.index as u64, &outputs);
         assert_eq!(b.peeks, golden, "branch {} vs RefInterp", b.index);

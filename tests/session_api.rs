@@ -308,7 +308,8 @@ fn both_dispatchers_answer_one_script_identically() {
          poke reset zz\npoke reset -1\npoke halt 1\nload\nload imem 10000000000000000\n\
          load nonesuch 1\nload imem{big}\nstep many\ntrace\ntrace maybe\nfrobnicate 1 2\n\
          design 3 interp\npeek result\nsync\n\
-         trace on result halt\nstep 30\nrestore 0\ntrace off\nsync\n\
+         trace on result halt\ntrace on halt\nstep 30\nrestore 0\ntrace off\ntrace off\n\
+         poke nonesuch 1\nsync\n\
          trace on nonesuch\nsync\ncounters extra tokens\nsync\n",
         big = " 0".repeat(1 << 16),
     );
@@ -359,5 +360,13 @@ fn both_dispatchers_answer_one_script_identically() {
     // The malformed lines really were answered, each as `err protocol`.
     assert_eq!(a.matches("err protocol ").count(), 14, "{a}");
     assert!(a.contains("err unknown-snapshot 99\n"), "{a}");
+    assert!(
+        a.contains("err config a trace is already active on this session\n"),
+        "{a}"
+    );
+    assert!(
+        a.contains("err config no trace is active on this session\n"),
+        "{a}"
+    );
     assert!(a.contains("\nchg "), "tracing produced records");
 }
