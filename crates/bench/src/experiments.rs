@@ -5,7 +5,7 @@
 //! line; EXPERIMENTS.md lists them.
 
 use crate::harness::{measure_options, measure_preset, WorkloadKind, MT_THREADS};
-use gsim::{OptOptions, Preset, SupernodeChoice};
+use gsim::{Algorithm, OptOptions, Preset};
 use gsim_designs::{paper_suite, SuiteDesign};
 use gsim_workloads::{programs, spec_profiles, Profile};
 
@@ -371,19 +371,19 @@ pub fn table3(suite: &[SuiteDesign], cfg: &Config) -> Vec<Table3Row> {
         .expect("suite contains BOOM");
     let wl = WorkloadKind::Stimulus(Profile::coremark());
     [
-        ("None", SupernodeChoice::None),
-        ("Kernighan", SupernodeChoice::Kernighan),
-        ("MFFC-based", SupernodeChoice::Mffc),
-        ("GSIM", SupernodeChoice::Gsim),
+        Algorithm::None,
+        Algorithm::Kernighan,
+        Algorithm::MffcBased,
+        Algorithm::Gsim,
     ]
     .into_iter()
-    .map(|(name, choice)| {
+    .map(|algorithm| {
         let mut opts = OptOptions::none();
-        opts.supernode = choice;
+        opts.supernode = algorithm;
         let stats = measure_options(&boom.graph, opts, &wl, cfg.cycles);
         let c = stats.counters;
         Table3Row {
-            algorithm: name,
+            algorithm: algorithm.name(),
             partition_s: stats.report.partition_time.as_secs_f64(),
             supernodes: stats.report.supernodes,
             activation_per_cycle: c.activations as f64 / c.cycles.max(1) as f64,
@@ -445,25 +445,8 @@ pub fn table4(suite: &[SuiteDesign]) -> Vec<Table4Row> {
         for (preset, style) in presets {
             let start = std::time::Instant::now();
             let opts = preset.options();
-            let pass_opts = gsim_passes::PassOptions {
-                expression_simplify: opts.expression_simplify,
-                redundant_elim: opts.redundant_elim,
-                node_inline: opts.node_inline,
-                node_extract: opts.node_extract,
-                bit_split: opts.bit_split,
-                reset_slow_path: opts.reset_slow_path,
-            };
-            let (optimized, _) = gsim_passes::run(d.graph.clone(), &pass_opts);
-            let partition = gsim_partition::PartitionOptions {
-                algorithm: match opts.supernode {
-                    SupernodeChoice::None => gsim_partition::Algorithm::None,
-                    SupernodeChoice::Kernighan => gsim_partition::Algorithm::Kernighan,
-                    SupernodeChoice::Mffc => gsim_partition::Algorithm::MffcBased,
-                    SupernodeChoice::Gsim => gsim_partition::Algorithm::Gsim,
-                },
-                max_size: opts.max_supernode_size,
-            };
-            let out = gsim_codegen::emit(&optimized, style, &partition);
+            let (optimized, _) = gsim_passes::run(d.graph.clone(), &opts.pass_options());
+            let out = gsim_codegen::emit(&optimized, style, &opts.partition_options());
             rows.push(Table4Row {
                 design: d.name,
                 simulator: preset.name(),

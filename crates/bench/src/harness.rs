@@ -2,7 +2,7 @@
 //! preset) pair, drive a workload, and report simulation speed plus the
 //! architecture-independent counters.
 
-use gsim::{CompileReport, Compiler, OptOptions, Preset, Simulator};
+use gsim::{CompileReport, Compiler, OptOptions, Preset, Scenario, Simulator};
 use gsim_graph::Graph;
 use gsim_workloads::programs::Program;
 use gsim_workloads::Profile;
@@ -131,10 +131,17 @@ fn drive(
             }
         }
         WorkloadKind::Stimulus(profile) => {
-            let handles: Vec<_> = (0..64)
-                .map_while(|l| sim.input_handle(&format!("op_in_{l}")))
+            let lanes: Vec<String> = (0..64)
+                .map(|l| format!("op_in_{l}"))
+                .take_while(|name| sim.peek(name).is_some())
                 .collect();
-            let mut stim = profile.stimulus(handles.len().max(1), 0xDEC0DE);
+            let mut stim = profile.stimulus(lanes.len().max(1), 0xDEC0DE);
+            let mut scenario = |n: u64| Scenario {
+                loads: Vec::new(),
+                frames: (0..n)
+                    .map(|_| lanes.iter().cloned().zip(stim.next_cycle()).collect())
+                    .collect(),
+            };
             // settle out of reset
             sim.poke_u64("reset", 1).ok();
             sim.run(2);
@@ -145,24 +152,22 @@ fn drive(
             // which once inverted a fusion-on/off comparison on a
             // 1-core host. Counters are reset after the warmup so they
             // describe exactly the timed cycles.
-            sim.run_driven(WARMUP_CYCLES.min(cycles), |_, frame| {
-                let ops = stim.next_cycle();
-                for (h, &op) in handles.iter().zip(&ops) {
-                    frame.set(*h, op);
-                }
-            });
+            let warmup = scenario(WARMUP_CYCLES.min(cycles));
+            gsim::Session::run_scenario(sim, &warmup).expect("synthetic core lanes are inputs");
             sim.reset_counters();
-            let start = Instant::now();
-            // Per-cycle stimulus through the driven-run API, which
-            // keeps the multithreaded engines' worker teams alive
-            // across cycles instead of respawning them per step.
-            sim.run_driven(cycles, |_, frame| {
-                let ops = stim.next_cycle();
-                for (h, &op) in handles.iter().zip(&ops) {
-                    frame.set(*h, op);
-                }
-            });
-            let seconds = start.elapsed().as_secs_f64();
+            // Stimulus is built in bounded chunks outside the timed
+            // region. Each chunk is one batched call, which keeps the
+            // multithreaded engines' worker teams alive across it
+            // instead of respawning them per step.
+            let mut seconds = 0.0;
+            let mut left = cycles;
+            while left > 0 {
+                let chunk = scenario(left.min(STIMULUS_CHUNK));
+                left -= chunk.cycles();
+                let start = Instant::now();
+                gsim::Session::run_scenario(sim, &chunk).expect("synthetic core lanes are inputs");
+                seconds += start.elapsed().as_secs_f64();
+            }
             RunStats {
                 cycles,
                 seconds,
@@ -181,6 +186,10 @@ pub const MT_THREADS: [usize; 4] = [2, 4, 8, 16];
 /// Untimed cycles driven before every stimulus measurement (capped by
 /// the run's cycle budget).
 pub const WARMUP_CYCLES: u64 = 256;
+
+/// Frames per timed stimulus chunk: bounds the stimulus held in memory
+/// for long runs.
+const STIMULUS_CHUNK: u64 = 4096;
 
 #[cfg(test)]
 mod tests {

@@ -1079,20 +1079,21 @@ impl Emitter<'_> {
         }
         // Memory write ports, in node order (last write wins), using
         // pre-edge values — then register commit.
-        let mems_with_writes: Vec<usize> = (0..g.mems().len())
-            .filter(|&m| {
-                g.iter()
-                    .any(|(_, n)| matches!(n.kind, NodeKind::MemWrite { mem } if mem.index() == m))
-            })
-            .collect();
-        for &m in &mems_with_writes {
-            let _ = writeln!(commit, "        let mut dirty_m{m} = false;");
-        }
         let write_nodes: Vec<NodeId> = g
             .iter()
             .filter(|(_, n)| matches!(n.kind, NodeKind::MemWrite { .. }))
             .map(|(id, _)| id)
             .collect();
+        let mut written = vec![false; g.mems().len()];
+        for &id in &write_nodes {
+            if let NodeKind::MemWrite { mem } = g.node(id).kind {
+                written[mem.index()] = true;
+            }
+        }
+        let mems_with_writes: Vec<usize> = (0..written.len()).filter(|&m| written[m]).collect();
+        for &m in &mems_with_writes {
+            let _ = writeln!(commit, "        let mut dirty_m{m} = false;");
+        }
         for id in write_nodes {
             let node = g.node(id).clone();
             let NodeKind::MemWrite { mem } = node.kind else {

@@ -57,20 +57,21 @@
 
 pub use gsim_codegen::{AotRun, AotSession, AotSim, ArtifactCache, ArtifactKey};
 pub use gsim_graph::Graph;
+pub use gsim_partition::Algorithm;
 pub use gsim_passes::{PassOptions, PassStats};
 pub use gsim_server::{ClientSession, Endpoint, Server, ServerConfig, ServiceStats};
 pub use gsim_sim::{
     BranchResult, Counters, EngineKind, ExploreOptions, ExploreReport, Explorer, FaultPlan,
-    FusionStats, GsimError, InputFrame, InputHandle, MemoryInfo, RecoveryStats, Scenario,
-    SendSessionFactory, Session, SessionFactory, SessionFrame, SignalInfo, SimOptions, Simulator,
-    SnapshotId, SuperviseOptions, SupervisedSession, Value,
+    FusionStats, GsimError, MemoryInfo, RecoveryStats, Scenario, SendSessionFactory, Session,
+    SessionFactory, SignalInfo, SimOptions, Simulator, SnapshotId, SuperviseOptions,
+    SupervisedSession, Value,
 };
 pub use gsim_wave::{
     diff as wave_diff, first_difference, parse_vcd, MemSink, VcdWriter, Wave, WaveCell, WaveDiff,
     WaveSignal, WaveSink,
 };
 
-use gsim_partition::{Algorithm, PartitionOptions};
+use gsim_partition::PartitionOptions;
 use std::time::{Duration, Instant};
 
 /// Ready-made simulator configurations matching the paper's evaluation.
@@ -128,7 +129,7 @@ impl Preset {
             Preset::Essent => OptOptions {
                 engine: EngineChoice::Essential,
                 redundant_elim: true,
-                supernode: SupernodeChoice::Mffc,
+                supernode: Algorithm::MffcBased,
                 ..OptOptions::none()
             },
             Preset::Arcilator => OptOptions {
@@ -176,30 +177,6 @@ pub enum EngineChoice {
     Aot,
 }
 
-/// Supernode construction selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SupernodeChoice {
-    /// One node per supernode (no grouping).
-    None,
-    /// Plain Kernighan sequential partition.
-    Kernighan,
-    /// ESSENT's MFFC zones.
-    Mffc,
-    /// GSIM's enhanced algorithm (pre-grouping + Kernighan).
-    Gsim,
-}
-
-impl SupernodeChoice {
-    fn algorithm(self) -> Algorithm {
-        match self {
-            SupernodeChoice::None => Algorithm::None,
-            SupernodeChoice::Kernighan => Algorithm::Kernighan,
-            SupernodeChoice::Mffc => Algorithm::MffcBased,
-            SupernodeChoice::Gsim => Algorithm::Gsim,
-        }
-    }
-}
-
 /// One flag per paper technique (§III / Figure 8), plus engine and
 /// partition knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,7 +190,7 @@ pub struct OptOptions {
     /// ③ node inline.
     pub node_inline: bool,
     /// ④ supernode construction algorithm.
-    pub supernode: SupernodeChoice,
+    pub supernode: Algorithm,
     /// ⑤ node extraction (CSE).
     pub node_extract: bool,
     /// ⑥ reset handling optimization (slow path).
@@ -246,7 +223,7 @@ impl OptOptions {
             expression_simplify: false,
             redundant_elim: false,
             node_inline: false,
-            supernode: SupernodeChoice::None,
+            supernode: Algorithm::None,
             node_extract: false,
             reset_slow_path: false,
             check_multiple_bits: false,
@@ -265,7 +242,7 @@ impl OptOptions {
             expression_simplify: true,
             redundant_elim: true,
             node_inline: true,
-            supernode: SupernodeChoice::Gsim,
+            supernode: Algorithm::Gsim,
             node_extract: true,
             reset_slow_path: true,
             check_multiple_bits: true,
@@ -290,7 +267,7 @@ impl OptOptions {
         out.push(("redundant node elimination", cur));
         cur.node_inline = true;
         out.push(("node inline", cur));
-        cur.supernode = SupernodeChoice::Gsim;
+        cur.supernode = Algorithm::Gsim;
         out.push(("supernode", cur));
         cur.node_extract = true;
         out.push(("node extraction", cur));
@@ -330,7 +307,7 @@ impl OptOptions {
     /// with the CLI's emit paths).
     pub fn partition_options(&self) -> PartitionOptions {
         PartitionOptions {
-            algorithm: self.supernode.algorithm(),
+            algorithm: self.supernode,
             max_size: self.max_supernode_size,
         }
     }

@@ -10,7 +10,8 @@ use crate::compile::{self, Compiled, TaskKind};
 use crate::counters::Counters;
 use crate::exec::{AtomicMems, Ctx};
 use crate::executor::{self, ActiveBits, NoActivation, SharedBits, SpinBarrier};
-use crate::session::{GsimError, MemoryInfo, Session, SessionFrame, SignalInfo, SnapshotId};
+use crate::scenario::Scenario;
+use crate::session::{GsimError, MemoryInfo, Session, SignalInfo, SnapshotId};
 use crate::storage::{AtomicStateRef, MemArena, StateStore};
 use crate::threaded::{self, ThreadedProg};
 use crate::{CompileError, EngineKind, SimOptions};
@@ -20,26 +21,30 @@ use gsim_wave::{Tracer, WaveSignal, WaveSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A resolved top-level input, for allocation-free per-cycle stimulus
-/// through [`Simulator::run_driven`].
-#[derive(Debug, Clone, Copy)]
-pub struct InputHandle(u32);
-
-/// One cycle's worth of input pokes for [`Simulator::run_driven`].
+/// A scenario's frames with every poke resolved to its input's node
+/// id, so the engines drive stimulus without a name lookup or an
+/// allocation per cycle.
 #[derive(Debug, Default)]
-pub struct InputFrame {
+struct Frames {
+    /// Every frame's `(node id, value)` pokes, back to back.
     pokes: Vec<(u32, u64)>,
+    /// End of frame `k`'s pokes in `pokes`.
+    ends: Vec<usize>,
 }
 
-impl InputFrame {
-    /// Schedules `v` to be driven onto `input` this cycle (masked to
-    /// the input's width).
-    pub fn set(&mut self, input: InputHandle, v: u64) {
-        self.pokes.push((input.0, v));
+impl Frames {
+    /// Frame `k`'s pokes; empty past the last frame (inputs hold).
+    fn get(&self, k: u64) -> &[(u32, u64)] {
+        let k = k as usize;
+        let Some(&end) = self.ends.get(k) else {
+            return &[];
+        };
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.pokes[start..end]
     }
 }
 
-/// Applies one input frame: write each poked value and activate the
+/// Applies one resolved frame: write each poked value and activate the
 /// input's reader supernodes on change — [`Simulator::poke`] expressed
 /// over the generic stores, so the parallel engines can drive stimulus
 /// from inside their thread scope.
@@ -47,9 +52,9 @@ fn apply_frame<S: StateStore, A: ActiveBits>(
     c: &Compiled,
     st: &mut S,
     flags: &mut A,
-    frame: &InputFrame,
+    frame: &[(u32, u64)],
 ) {
-    for &(id, v) in &frame.pokes {
+    for &(id, v) in frame {
         let slot = c.node_slot[id as usize];
         if slot.words == 0 {
             continue;
@@ -115,13 +120,9 @@ pub struct Simulator {
     threaded: Option<Arc<ThreadedProg>>,
     /// Saved states for [`Session::snapshot`] / [`Session::restore`].
     snapshots: Vec<SimSnapshot>,
-    /// Name → node id for every top-level input, prebuilt at compile
-    /// time so the trait's by-name frame stepping pays no per-call
-    /// map construction.
-    input_ids: std::collections::HashMap<String, u32>,
     /// Active waveform capture ([`Simulator::trace_start`]). `None`
     /// when tracing is off — the *only* cost the untraced hot path
-    /// pays is this option check once per `run_driven` call, not per
+    /// pays is this option check once per batched run, not per
     /// store or per cycle.
     trace: Option<SimTrace>,
 }
@@ -206,12 +207,6 @@ impl Simulator {
             }
         }
         let dirty_mems = vec![false; mems.len()];
-        let input_ids = c
-            .names
-            .iter()
-            .filter(|&(_, &id)| c.node_meta[id as usize].2)
-            .map(|(name, &id)| (name.clone(), id))
-            .collect();
         Ok(Simulator {
             c: Arc::new(c),
             opts: *opts,
@@ -227,7 +222,6 @@ impl Simulator {
             cycle: 0,
             threaded,
             snapshots: Vec::new(),
-            input_ids,
             trace: None,
         })
     }
@@ -291,6 +285,42 @@ impl Simulator {
         self.c.names.get(name).copied()
     }
 
+    /// Resolves a top-level input's node id, with the error classes
+    /// [`Simulator::poke`] reports.
+    fn input_id(&self, name: &str) -> Result<u32, GsimError> {
+        let id = self
+            .node_by_name(name)
+            .ok_or_else(|| GsimError::UnknownSignal(name.to_string()))?;
+        if !self.c.node_meta[id as usize].2 {
+            return Err(GsimError::NotAnInput(name.to_string()));
+        }
+        Ok(id)
+    }
+
+    /// Resolves every poke of `scenario`. A bad name ends the
+    /// resolution: the pokes before it are kept, so the run drives
+    /// stimulus up to the first error and holds the inputs after it,
+    /// and the error is returned beside the frames.
+    fn resolve(&self, scenario: &Scenario) -> (Frames, Option<GsimError>) {
+        let mut out = Frames {
+            pokes: Vec::with_capacity(scenario.frames.iter().map(Vec::len).sum()),
+            ends: Vec::with_capacity(scenario.frames.len()),
+        };
+        for frame in &scenario.frames {
+            for (name, v) in frame {
+                match self.input_id(name) {
+                    Ok(id) => out.pokes.push((id, *v)),
+                    Err(e) => {
+                        out.ends.push(out.pokes.len());
+                        return (out, Some(e));
+                    }
+                }
+            }
+            out.ends.push(out.pokes.len());
+        }
+        (out, None)
+    }
+
     /// The compiled design (crate-internal: lowering tests).
     #[cfg(test)]
     pub(crate) fn compiled(&self) -> &Compiled {
@@ -315,13 +345,7 @@ impl Simulator {
     ///
     /// Returns [`GsimError::UnknownSignal`] or [`GsimError::NotAnInput`].
     pub fn poke(&mut self, name: &str, v: Value) -> Result<(), GsimError> {
-        let id = self
-            .node_by_name(name)
-            .ok_or_else(|| GsimError::UnknownSignal(name.to_string()))?;
-        let (_, _, is_input) = self.c.node_meta[id as usize];
-        if !is_input {
-            return Err(GsimError::NotAnInput(name.to_string()));
-        }
+        let id = self.input_id(name)?;
         let slot = self.c.node_slot[id as usize];
         let fitted = v.zext_or_trunc(slot.width);
         let mut changed = false;
@@ -400,85 +424,71 @@ impl Simulator {
 
     /// Advances `n` clock cycles.
     pub fn run(&mut self, n: u64) {
-        self.run_driven(n, |_, _| {});
+        self.run_frames(n, &Frames::default());
     }
 
-    /// Resolves a top-level input to a handle for
-    /// [`Simulator::run_driven`].
-    pub fn input_handle(&self, name: &str) -> Option<InputHandle> {
-        let id = self.node_by_name(name)?;
-        let (_, _, is_input) = self.c.node_meta[id as usize];
-        is_input.then_some(InputHandle(id))
-    }
-
-    /// Advances `n` clock cycles, calling `drive` with the cycle number
-    /// before each one to fill an [`InputFrame`] of pokes.
-    ///
-    /// This is the fast path for per-cycle stimulus: the multithreaded
-    /// engines keep their worker team alive for the whole run and apply
-    /// each frame between cycle barriers, where a `poke`/`run(1)` loop
-    /// would tear the team down and respawn it every cycle.
-    pub fn run_driven<F>(&mut self, n: u64, mut drive: F)
-    where
-        F: FnMut(u64, &mut InputFrame),
-    {
+    /// Advances `n` clock cycles, driving `frames.get(k)` before the
+    /// `k`-th. The multithreaded engines keep their worker team alive
+    /// for the whole run and apply each frame between cycle barriers,
+    /// where a `poke`/`run(1)` loop would tear the team down and
+    /// respawn it every cycle.
+    fn run_frames(&mut self, n: u64, frames: &Frames) {
         if self.trace.is_none() {
             // Untraced hot path: one option check per call, then the
             // engines run exactly the pre-tracing code.
-            return self.run_driven_untraced(n, &mut drive);
+            return self.run_untraced(n, frames, 0);
         }
         // Traced: capture after every cycle. Cycle-at-a-time stepping
         // also makes the multithreaded engines observable per cycle
         // (they only publish their atomic images at scope exit).
-        for _ in 0..n {
-            self.run_driven_untraced(1, &mut drive);
+        for k in 0..n {
+            self.run_untraced(1, frames, k);
             self.capture_trace();
         }
     }
 
-    fn run_driven_untraced<F>(&mut self, n: u64, drive: &mut F)
-    where
-        F: FnMut(u64, &mut InputFrame),
-    {
+    /// Runs `n` cycles driving `frames.get(first + i)` before cycle
+    /// `i` of the run.
+    fn run_untraced(&mut self, n: u64, frames: &Frames, first: u64) {
         if n == 0 {
-            // No cycle runs, so no frame is driven — on any engine.
+            // No cycle runs, so no worker team is started.
             return;
         }
         match self.opts.engine {
             EngineKind::FullCycle => {
-                let mut frame = InputFrame::default();
-                for _ in 0..n {
-                    frame.pokes.clear();
-                    drive(self.cycle, &mut frame);
+                for k in first..first + n {
                     let mut st: &mut [u64] = &mut self.state;
-                    apply_frame(&self.c, &mut st, &mut NoActivation, &frame);
+                    apply_frame(&self.c, &mut st, &mut NoActivation, frames.get(k));
                     self.step_full();
                 }
             }
-            EngineKind::Essential => {
-                let mut frame = InputFrame::default();
-                for _ in 0..n {
-                    frame.pokes.clear();
-                    drive(self.cycle, &mut frame);
-                    let mut st: &mut [u64] = &mut self.state;
-                    let mut flags: &mut [u64] = &mut self.flags;
-                    apply_frame(&self.c, &mut st, &mut flags, &frame);
-                    self.step_essential();
-                }
-            }
+            EngineKind::Essential => self.run_essential(n, frames, first),
             EngineKind::Threaded => {
-                let mut frame = InputFrame::default();
-                for _ in 0..n {
-                    frame.pokes.clear();
-                    drive(self.cycle, &mut frame);
+                for k in first..first + n {
                     let mut st: &mut [u64] = &mut self.state;
                     let mut flags: &mut [u64] = &mut self.flags;
-                    apply_frame(&self.c, &mut st, &mut flags, &frame);
+                    apply_frame(&self.c, &mut st, &mut flags, frames.get(k));
                     self.step_threaded();
                 }
             }
-            EngineKind::FullCycleMt { threads } => self.run_full_mt(n, threads.max(1), drive),
-            EngineKind::EssentialMt { threads } => self.run_essential_mt(n, threads.max(1), drive),
+            EngineKind::FullCycleMt { threads } => {
+                self.run_full_mt(n, threads.max(1), frames, first)
+            }
+            EngineKind::EssentialMt { threads } => {
+                self.run_essential_mt(n, threads.max(1), frames, first)
+            }
+        }
+    }
+
+    /// The sequential essential sweep, shared by
+    /// [`EngineKind::Essential`] and single-worker
+    /// [`EngineKind::EssentialMt`].
+    fn run_essential(&mut self, n: u64, frames: &Frames, first: u64) {
+        for k in first..first + n {
+            let mut st: &mut [u64] = &mut self.state;
+            let mut flags: &mut [u64] = &mut self.flags;
+            apply_frame(&self.c, &mut st, &mut flags, frames.get(k));
+            self.step_essential();
         }
     }
 
@@ -654,7 +664,6 @@ impl Simulator {
             cycle: self.cycle,
             threaded: self.threaded.clone(),
             snapshots: Vec::new(),
-            input_ids: self.input_ids.clone(),
             // Traces are session-local: the fork starts untraced (the
             // Explorer attaches its own per-branch sink).
             trace: None,
@@ -812,10 +821,7 @@ impl Simulator {
 
     // ----- levelized multithreaded full-cycle -----
 
-    fn run_full_mt<F>(&mut self, n: u64, threads: usize, drive: &mut F)
-    where
-        F: FnMut(u64, &mut InputFrame),
-    {
+    fn run_full_mt(&mut self, n: u64, threads: usize, frames: &Frames, first: u64) {
         // Copy state and memories into shared atomics for the run.
         let state: Vec<AtomicU64> = self.state.iter().map(|&w| AtomicU64::new(w)).collect();
         let mems = AtomicMems::snapshot(&self.mems);
@@ -838,15 +844,12 @@ impl Simulator {
             .collect();
         let barrier = SpinBarrier::new(threads);
         let c = &self.c;
-        let base_cycle = self.cycle;
         // The first cycle's stimulus lands before the team starts.
-        let mut frame = InputFrame::default();
-        drive(base_cycle, &mut frame);
         apply_frame(
             c,
             &mut AtomicStateRef(&state[..]),
             &mut NoActivation,
-            &frame,
+            frames.get(first),
         );
         // One cycle's level sweep for worker `t`: the single shared
         // body both worker roles run (barrier per level).
@@ -894,9 +897,7 @@ impl Simulator {
                     let mut mw: &AtomicMems = &mems;
                     executor::commit_full_cycle(c, &mut st, &mut mw, counters, &mut reset_snap);
                     if i + 1 < n {
-                        frame.pokes.clear();
-                        drive(base_cycle + i + 1, &mut frame);
-                        apply_frame(c, &mut st, &mut NoActivation, &frame);
+                        apply_frame(c, &mut st, &mut NoActivation, frames.get(first + i + 1));
                     }
                     barrier.wait();
                 }
@@ -922,26 +923,14 @@ impl Simulator {
 
     // ----- level-parallel essential-signal -----
 
-    fn run_essential_mt<F>(&mut self, n: u64, threads: usize, drive: &mut F)
-    where
-        F: FnMut(u64, &mut InputFrame),
-    {
+    fn run_essential_mt(&mut self, n: u64, threads: usize, frames: &Frames, first: u64) {
         if threads == 1 {
             // One worker: the level barriers and atomic images buy
             // nothing, so delegate to the sequential essential sweep —
             // same eval/commit machinery, identical results and
             // semantic work counters (only the examination strategy
             // differs).
-            let mut frame = InputFrame::default();
-            for _ in 0..n {
-                frame.pokes.clear();
-                drive(self.cycle, &mut frame);
-                let mut st: &mut [u64] = &mut self.state;
-                let mut flags: &mut [u64] = &mut self.flags;
-                apply_frame(&self.c, &mut st, &mut flags, &frame);
-                self.step_essential();
-            }
-            return;
+            return self.run_essential(n, frames, first);
         }
         // Shared atomic images of the state, active bits, fired set and
         // memories for the run.
@@ -953,15 +942,12 @@ impl Simulator {
         let c = &self.c;
         let supernode_regs = &self.supernode_regs;
         let word_skip = self.opts.check_multiple_bits;
-        let base_cycle = self.cycle;
         // The first cycle's stimulus lands before the team starts.
-        let mut frame = InputFrame::default();
-        drive(base_cycle, &mut frame);
         apply_frame(
             c,
             &mut AtomicStateRef(&state[..]),
             &mut SharedBits(&flags),
-            &frame,
+            frames.get(first),
         );
         // One cycle's level sweep for worker `t`: the single shared
         // body both worker roles run. `t`'s static slice of each level
@@ -1030,9 +1016,8 @@ impl Simulator {
                         &mut reset_snap,
                     );
                     if i + 1 < n {
-                        frame.pokes.clear();
-                        drive(base_cycle + i + 1, &mut frame);
-                        apply_frame(c, &mut st, &mut SharedBits(&flags), &frame);
+                        let next = frames.get(first + i + 1);
+                        apply_frame(c, &mut st, &mut SharedBits(&flags), next);
                     }
                     barrier.wait();
                 }
@@ -1064,10 +1049,9 @@ impl Simulator {
 }
 
 /// The interpreter backend's [`Session`]: every engine family behind
-/// one object-safe surface. By-name frame stimulus resolves through a
-/// prebuilt input map, so [`Session::run_driven`] keeps the engines'
-/// fast path (the multithreaded engines' worker teams stay alive for
-/// the whole run).
+/// one object-safe surface. [`Session::run_scenario`] resolves the
+/// scenario's names once and hands the engines the whole run, so the
+/// multithreaded engines' worker teams stay alive across it.
 impl Session for Simulator {
     fn backend(&self) -> &'static str {
         match self.opts.engine {
@@ -1100,39 +1084,13 @@ impl Session for Simulator {
         Ok(())
     }
 
-    #[allow(deprecated)]
-    fn run_driven(
-        &mut self,
-        n: u64,
-        drive: &mut dyn FnMut(u64, &mut SessionFrame),
-    ) -> Result<(), GsimError> {
-        // The input map was prebuilt at compile time; the per-cycle
-        // closure cannot reach `self` while the engines hold it, so
-        // lend it out for the run and put it back after.
-        let inputs = std::mem::take(&mut self.input_ids);
-        let mut err: Option<GsimError> = None;
-        let mut sf = SessionFrame::default();
-        Simulator::run_driven(self, n, |cycle, frame| {
-            if err.is_some() {
-                return; // stimulus stops after the first error
-            }
-            sf.clear();
-            drive(cycle, &mut sf);
-            for (name, v) in sf.pokes() {
-                match inputs.get(name.as_str()) {
-                    Some(&id) => frame.set(InputHandle(id), *v),
-                    None => {
-                        err = Some(GsimError::UnknownSignal(name.clone()));
-                        return;
-                    }
-                }
-            }
-        });
-        self.input_ids = inputs;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
+    fn run_scenario(&mut self, scenario: &Scenario) -> Result<(), GsimError> {
+        for (mem, image) in &scenario.loads {
+            Simulator::load_mem(self, mem, image)?;
         }
+        let (frames, err) = self.resolve(scenario);
+        self.run_frames(scenario.cycles(), &frames);
+        err.map_or(Ok(()), Err)
     }
 
     fn counters(&mut self) -> Result<Counters, GsimError> {
@@ -1435,14 +1393,14 @@ circuit W :
     }
 
     #[test]
-    fn run_driven_zero_cycles_is_a_no_op_on_every_engine() {
+    fn empty_scenario_is_a_no_op_on_every_engine() {
         let g = gsim_firrtl::compile(COUNTER).unwrap();
         for (name, opts) in engines() {
             let mut sim = Simulator::compile(&g, &opts).unwrap();
             sim.poke_u64("en", 1).unwrap();
             sim.run(5);
             let before = sim.peek_u64("out");
-            sim.run_driven(0, |_, _| panic!("drive must not be called for n = 0"));
+            sim.run_scenario(&Scenario::new()).unwrap();
             assert_eq!(sim.cycle(), 5, "engine {name}");
             assert_eq!(sim.peek_u64("out"), before, "engine {name}");
         }

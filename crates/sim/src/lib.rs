@@ -10,7 +10,7 @@
 //! tasks (every operand one word — the overwhelming majority) dispatch
 //! through a fast loop that never re-checks operand widths; multi-word
 //! instructions go through a side table. The image is executed by one
-//! of four engine families, which together stand in for every
+//! of five engine families, which together stand in for every
 //! simulator the paper evaluates:
 //!
 //! * **Sequential full-cycle** ([`EngineKind::FullCycle`]) — evaluates
@@ -51,14 +51,14 @@
 //!   width re-checks, and no operand-space branching. Compile-free
 //!   AoT-class dispatch — the CLI's `--backend jit`.
 //!
-//! All four families share one executor core (`executor`): the
+//! All five families share one executor core (`executor`): the
 //! eval/commit/activation routines are generic over plain-word vs
 //! shared-atomic storage, so the sequential and parallel paths execute
 //! the same code. All engines implement identical semantics, pinned by
 //! the differential tests against [`gsim_graph::interp::RefInterp`].
 //!
 //! The crate also defines the backend-agnostic [`Session`] trait —
-//! `poke`/`peek`/`load_mem`/`step`/`run_driven`/`counters`/
+//! `poke`/`peek`/`load_mem`/`step`/`run_scenario`/`counters`/
 //! `snapshot`+`restore` behind one object-safe surface with the
 //! unified [`GsimError`] — which [`Simulator`] implements for every
 //! engine family and [`WireSession`] implements once for every
@@ -112,11 +112,11 @@ mod wire_session;
 
 pub use compile::FusionStats;
 pub use counters::Counters;
-pub use engine::{InputFrame, InputHandle, Simulator};
+pub use engine::Simulator;
 pub use explore::{BranchResult, ExploreOptions, ExploreReport, Explorer, SendSessionFactory};
 pub use fault::FaultPlan;
 pub use scenario::Scenario;
-pub use session::{GsimError, MemoryInfo, Session, SessionFrame, SignalInfo, SnapshotId};
+pub use session::{GsimError, MemoryInfo, Session, SignalInfo, SnapshotId};
 pub use storage::MemArena;
 // `Session::peek` and `BranchResult::peeks` speak `Value`; re-export
 // it so downstream crates can name what they receive.

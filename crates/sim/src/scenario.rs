@@ -3,7 +3,7 @@
 //!
 //! Before this module the repo had three ad-hoc stimulus
 //! representations — the text files the emitted AoT binary parses,
-//! `run_driven` closures in harness code, and the bench harness's
+//! per-cycle stimulus closures in harness code, and the bench harness's
 //! per-cycle frame vectors. A [`Scenario`] subsumes all three: memory
 //! images applied before cycle 0 plus a sequence of per-cycle poke
 //! frames, with builder combinators ([`Scenario::hold`],
@@ -17,7 +17,7 @@
 //! `scenario_text.rs`, which emitted AoT simulators embed.
 
 pub use crate::scenario_text::Scenario;
-use crate::session::{GsimError, Session};
+use crate::session::GsimError;
 
 /// splitmix64 — the same tiny deterministic mixer the test harness
 /// uses for stimulus words; good enough to decorrelate branch
@@ -69,8 +69,8 @@ impl Scenario {
         self
     }
 
-    /// Number of frames (the cycle count [`Scenario::run_for`] drives
-    /// stimulus for; runs may be longer, with inputs held).
+    /// Number of frames: the cycle count [`crate::Session::run_scenario`]
+    /// advances a session by.
     pub fn cycles(&self) -> u64 {
         self.frames.len() as u64
     }
@@ -96,37 +96,6 @@ impl Scenario {
         out
     }
 
-    /// Applies this scenario to a session: loads, then the frames via
-    /// the session's driven-run fast path, then holds inputs for any
-    /// remaining cycles up to `n`. This is [`Session::run_scenario`]
-    /// with an explicit total cycle count.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run_scenario`].
-    pub fn run_for<S: Session + ?Sized>(&self, session: &mut S, n: u64) -> Result<(), GsimError> {
-        for (mem, image) in &self.loads {
-            session.load_mem(mem, image)?;
-        }
-        let driven = self.cycles().min(n);
-        if driven > 0 {
-            let start = session.cycle();
-            let frames = &self.frames;
-            #[allow(deprecated)]
-            session.run_driven(driven, &mut |cycle, frame| {
-                if let Some(pokes) = frames.get((cycle - start) as usize) {
-                    for (name, v) in pokes {
-                        frame.set(name, *v);
-                    }
-                }
-            })?;
-        }
-        if n > driven {
-            session.step(n - driven)?;
-        }
-        Ok(())
-    }
-
     /// Parses the stimulus text format back into a scenario.
     /// `parse(render())` round-trips exactly; comments are dropped.
     ///
@@ -135,7 +104,7 @@ impl Scenario {
     /// [`GsimError::Parse`] with a line-numbered message for bad hex,
     /// a missing `!load` memory name, a token without `=`, or a poke
     /// value wider than 64 bits (session pokes are `u64`; wider
-    /// inputs are driven via [`Session::poke`] directly).
+    /// inputs are driven via [`crate::Session::poke`] directly).
     pub fn parse(text: &str) -> Result<Scenario, GsimError> {
         Scenario::parse_text(text).map_err(GsimError::Parse)
     }

@@ -3,7 +3,7 @@
 //! A [`Session`] is *one running simulation* of a compiled design,
 //! independent of the execution substrate behind it: the in-process
 //! interpreter engines ([`crate::Simulator`] implements the trait for
-//! all four engine families) and the ahead-of-time compiled backend
+//! all five engine families) and the ahead-of-time compiled backend
 //! (`gsim_codegen`'s persistent `AotSession`, which keeps one compiled
 //! process resident and speaks the wire protocol below) expose exactly
 //! the same surface, so testbenches, differential harnesses, and
@@ -281,36 +281,6 @@ pub struct MemoryInfo {
     pub width: u32,
 }
 
-/// One cycle's worth of by-name input pokes for
-/// [`Session::run_driven`].
-///
-/// The name-keyed sibling of the interpreter's handle-keyed
-/// [`crate::InputFrame`]: sessions cannot hand out engine-internal
-/// handles (the AoT backend's inputs live in another process), so
-/// frame stimulus addresses inputs by port name. Values are masked to
-/// the input's width by the backend.
-#[derive(Debug, Default)]
-pub struct SessionFrame {
-    pokes: Vec<(String, u64)>,
-}
-
-impl SessionFrame {
-    /// Schedules `v` to be driven onto input `name` this cycle.
-    pub fn set(&mut self, name: &str, v: u64) {
-        self.pokes.push((name.to_string(), v));
-    }
-
-    /// The scheduled pokes, in insertion order.
-    pub fn pokes(&self) -> &[(String, u64)] {
-        &self.pokes
-    }
-
-    /// Clears the frame for reuse (keeps the allocation).
-    pub fn clear(&mut self) {
-        self.pokes.clear();
-    }
-}
-
 /// One running simulation, independent of the execution backend.
 ///
 /// The trait is object-safe: harnesses hold `Box<dyn Session>` (or
@@ -362,49 +332,39 @@ pub trait Session {
     /// [`GsimError::Backend`] if the backend is lost.
     fn step(&mut self, n: u64) -> Result<(), GsimError>;
 
-    /// Advances `n` clock cycles, calling `drive` with the cycle
-    /// number before each one to fill a [`SessionFrame`] of by-name
-    /// pokes — the frame-stepping fast path: the interpreter's
-    /// multithreaded engines keep their worker team alive across all
-    /// `n` cycles, and the AoT session pipelines the whole run into
-    /// the compiled process with a bounded number of wire round trips.
+    /// Applies a [`Scenario`] to this session: memory loads first,
+    /// then one cycle per frame, each frame's pokes driven before its
+    /// cycle. The session is left at `cycle() + scenario.cycles()`.
+    /// This is the one batched stepping call, shared by the CLI, the
+    /// bench harness, the exploration engine, and the wire.
     ///
-    /// Deprecated as the *public* stimulus surface: closures cannot be
-    /// serialized, compared, perturbed, or sent over the wire, so
-    /// harnesses should describe stimulus as a [`Scenario`] and call
-    /// [`Session::run_scenario`] (which routes through this fast path
-    /// internally). The default implementation is a portable
-    /// poke-per-cycle shim, so `Session` implementors no longer need
-    /// to provide it — backends with a cheaper batched path (the
-    /// interpreter's persistent worker teams, the AoT session's
-    /// pipelining) still override it.
+    /// The default implementation is a portable poke-per-cycle loop.
+    /// Backends with a cheaper batched path override it: the
+    /// interpreter's multithreaded engines keep their worker team
+    /// alive across the whole scenario, the wire session pipelines it
+    /// into the peer with a bounded number of round trips, and the
+    /// supervisor journals it for crash recovery.
     ///
     /// # Errors
     ///
-    /// Propagates poke errors ([`GsimError::UnknownSignal`] /
-    /// [`GsimError::NotAnInput`]): the run still completes all `n`
-    /// cycles on every backend, stimulus stops being driven at
-    /// (interpreter) or shortly after (AoT: within the pipelined
-    /// chunk already in flight) the first error, and the first error
-    /// is reported when the call returns. [`GsimError::Backend`]
-    /// aborts immediately — the backend itself is lost.
-    #[deprecated(
-        since = "0.9.0",
-        note = "describe stimulus as a `Scenario` and call `run_scenario`"
-    )]
-    fn run_driven(
-        &mut self,
-        n: u64,
-        drive: &mut dyn FnMut(u64, &mut SessionFrame),
-    ) -> Result<(), GsimError> {
-        let start = self.cycle();
-        let mut frame = SessionFrame::default();
+    /// Load errors ([`GsimError::UnknownMemory`] /
+    /// [`GsimError::MemImageTooLarge`]) abort before any cycle runs.
+    /// Poke errors ([`GsimError::UnknownSignal`] /
+    /// [`GsimError::NotAnInput`], the classes [`Session::poke`]
+    /// reports) do not cut the run short: every frame's cycle still
+    /// runs, stimulus stops being driven at the first bad poke
+    /// (in process) or shortly after it (on the wire: within the
+    /// pipelined chunk already in flight), and the first error is
+    /// returned at the end. Fatal errors ([`GsimError::is_fatal`])
+    /// abort at once — the backend itself is lost.
+    fn run_scenario(&mut self, scenario: &Scenario) -> Result<(), GsimError> {
+        for (mem, image) in &scenario.loads {
+            self.load_mem(mem, image)?;
+        }
         let mut first_err: Option<GsimError> = None;
-        for k in 0..n {
+        for frame in &scenario.frames {
             if first_err.is_none() {
-                frame.clear();
-                drive(start + k, &mut frame);
-                for (name, v) in frame.pokes() {
+                for (name, v) in frame {
                     match self.poke(name, Value::from_u64(*v, 64)) {
                         Ok(()) => {}
                         Err(e) if e.is_fatal() => return Err(e),
@@ -417,28 +377,7 @@ pub trait Session {
             }
             self.step(1)?;
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Applies a [`Scenario`] to this session: memory loads first,
-    /// then every frame through the backend's driven-run fast path.
-    /// The session is left at `cycle() + scenario.cycles()`. This is
-    /// the one stimulus entry point shared by the CLI, the bench
-    /// harness, the exploration engine, and the wire — the typed
-    /// replacement for ad-hoc `run_driven` closures.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run_driven`]: load errors
-    /// ([`GsimError::UnknownMemory`] /
-    /// [`GsimError::MemImageTooLarge`]) abort before any cycle runs;
-    /// poke errors still complete the run and are reported at the
-    /// end; fatal errors abort immediately.
-    fn run_scenario(&mut self, scenario: &Scenario) -> Result<(), GsimError> {
-        scenario.run_for(self, scenario.cycles())
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Forks this session: returns a *new* session of the same

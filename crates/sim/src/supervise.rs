@@ -8,7 +8,7 @@
 //!   [`Session::export_state`], refreshed automatically every
 //!   [`SuperviseOptions::checkpoint_every`] cycles;
 //! * a **journal** — every state-mutating command (pokes, memory
-//!   loads, driven frames, steps) accepted since that checkpoint.
+//!   loads, scenario frames, steps) accepted since that checkpoint.
 //!
 //! When an operation fails with a fatal error ([`GsimError::is_fatal`]
 //! — the child died, the socket reset, a deadline expired), the
@@ -30,8 +30,8 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use crate::session::{GsimError, MemoryInfo, Session, SessionFrame, SignalInfo, SnapshotId};
-use crate::Counters;
+use crate::session::{GsimError, MemoryInfo, Session, SignalInfo, SnapshotId};
+use crate::{Counters, Scenario};
 use gsim_value::Value;
 
 /// Knobs for [`SupervisedSession`].
@@ -91,7 +91,7 @@ impl RecoveryStats {
 enum Cmd {
     Poke(String, Value),
     Load(String, Vec<u64>),
-    /// One driven cycle: the frame's pokes, then a single step.
+    /// One scenario cycle: the frame's pokes, then a single step.
     Frame(Vec<(String, u64)>),
     Step(u64),
 }
@@ -265,10 +265,10 @@ impl SupervisedSession {
     }
 }
 
-/// Replays a journal onto `inner`, batching consecutive stepping
-/// commands into pipelined [`Session::run_driven`] calls. Returns the
-/// number of cycles re-executed.
-#[allow(deprecated)] // replay targets the backend's pipelined driven-run path
+/// Replays a journal onto `inner`: a run of consecutive `Step`s as
+/// one `step` call and a run of consecutive `Frame`s as one
+/// [`Session::run_scenario`] (bounded round trips on remote
+/// backends). Returns the number of cycles re-executed.
 fn apply_journal(inner: &mut dyn Session, journal: &[Cmd]) -> Result<u64, GsimError> {
     let mut replayed = 0u64;
     let mut i = 0;
@@ -282,36 +282,26 @@ fn apply_journal(inner: &mut dyn Session, journal: &[Cmd]) -> Result<u64, GsimEr
                 inner.load_mem(name, image)?;
                 i += 1;
             }
-            Cmd::Frame(_) | Cmd::Step(_) => {
-                // Expand a maximal run of stepping commands into
-                // per-cycle poke lists and replay them as one driven
-                // run (bounded round trips on remote backends).
-                static EMPTY: &[(String, u64)] = &[];
-                let mut frames: Vec<&[(String, u64)]> = Vec::new();
-                while i < journal.len() {
-                    match &journal[i] {
-                        Cmd::Frame(pokes) => {
-                            frames.push(pokes);
-                            i += 1;
-                        }
-                        Cmd::Step(k) => {
-                            frames.extend(std::iter::repeat_n(EMPTY, *k as usize));
-                            i += 1;
-                        }
-                        _ => break,
-                    }
+            Cmd::Step(_) => {
+                let mut n = 0;
+                while let Some(Cmd::Step(k)) = journal.get(i) {
+                    n += k;
+                    i += 1;
                 }
-                let n = frames.len() as u64;
-                let mut idx = 0usize;
-                inner.run_driven(n, &mut |_, frame| {
-                    if let Some(pokes) = frames.get(idx) {
-                        for (name, v) in *pokes {
-                            frame.set(name, *v);
-                        }
-                    }
-                    idx += 1;
-                })?;
+                inner.step(n)?;
                 replayed += n;
+            }
+            Cmd::Frame(_) => {
+                let mut frames = Vec::new();
+                while let Some(Cmd::Frame(pokes)) = journal.get(i) {
+                    frames.push(pokes.clone());
+                    i += 1;
+                }
+                replayed += frames.len() as u64;
+                inner.run_scenario(&Scenario {
+                    loads: Vec::new(),
+                    frames,
+                })?;
             }
         }
     }
@@ -357,56 +347,36 @@ impl Session for SupervisedSession {
         Ok(())
     }
 
-    #[allow(deprecated)] // the journaling override must shadow the shim
-    fn run_driven(
-        &mut self,
-        n: u64,
-        drive: &mut dyn FnMut(u64, &mut SessionFrame),
-    ) -> Result<(), GsimError> {
+    fn run_scenario(&mut self, scenario: &Scenario) -> Result<(), GsimError> {
+        for (mem, image) in &scenario.loads {
+            self.load_mem(mem, image)?;
+        }
         let mut first_err: Option<GsimError> = None;
-        let mut done = 0u64;
-        while done < n {
-            let chunk = self.chunk(n - done);
-            let base = self.inner.cycle();
-            // Record the chunk's stimulus exactly once, so a recovery
-            // retry re-drives the same frames without calling the
-            // user's closure twice for the same cycle.
-            let mut frames: Vec<Vec<(String, u64)>> = Vec::with_capacity(chunk as usize);
-            let mut sf = SessionFrame::default();
-            for k in 0..chunk {
-                sf.clear();
-                drive(base + k, &mut sf);
-                frames.push(sf.pokes().to_vec());
-            }
-            let res = self.attempt(&mut |s| {
-                let mut idx = 0usize;
-                s.run_driven(chunk, &mut |_, frame| {
-                    if let Some(pokes) = frames.get(idx) {
-                        for (name, v) in pokes {
-                            frame.set(name, *v);
-                        }
-                    }
-                    idx += 1;
-                })
-            });
-            match res {
+        let mut rest = &scenario.frames[..];
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(self.chunk(rest.len() as u64) as usize);
+            rest = later;
+            // One owned copy of the chunk serves the (possibly
+            // retried) backend call and then becomes the journal.
+            let chunk = Scenario {
+                loads: Vec::new(),
+                frames: now.to_vec(),
+            };
+            match self.attempt(&mut |s| s.run_scenario(&chunk)) {
                 Ok(()) => {}
                 Err(e) if e.is_fatal() => return Err(e),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             };
-            // The backend ran all `chunk` cycles (the trait contract
+            // The backend ran every frame's cycle (the trait contract
             // even under non-fatal poke errors), so journal them.
-            self.journal.extend(frames.into_iter().map(Cmd::Frame));
-            done += chunk;
-            self.since_checkpoint += chunk;
+            self.since_checkpoint += now.len() as u64;
+            self.journal
+                .extend(chunk.frames.into_iter().map(Cmd::Frame));
             self.maybe_checkpoint();
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     fn trace_start(
@@ -514,19 +484,19 @@ impl std::fmt::Debug for SupervisedSession {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the mock backend and tests pin the legacy driven-run path
 mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
 
     /// Shared control block: which absolute cycles kill the "backend",
-    /// and how many times the factory ran.
+    /// how many times the factory ran, and the `step` calls received.
     #[derive(Default)]
     struct Ctrl {
         kills: Vec<u64>,
         spawns: u32,
         exportable: bool,
+        steps: Vec<u64>,
     }
 
     /// A deterministic in-process stand-in for a crashy backend: one
@@ -600,24 +570,8 @@ mod tests {
         }
         fn step(&mut self, n: u64) -> Result<(), GsimError> {
             self.guard()?;
+            self.ctrl.borrow_mut().steps.push(n);
             for _ in 0..n {
-                self.one_cycle()?;
-            }
-            Ok(())
-        }
-        fn run_driven(
-            &mut self,
-            n: u64,
-            drive: &mut dyn FnMut(u64, &mut SessionFrame),
-        ) -> Result<(), GsimError> {
-            self.guard()?;
-            let mut frame = SessionFrame::default();
-            for _ in 0..n {
-                frame.clear();
-                drive(self.cycle, &mut frame);
-                for (name, v) in frame.pokes() {
-                    self.poke(name, Value::from_u64(*v, 64))?;
-                }
                 self.one_cycle()?;
             }
             Ok(())
@@ -700,17 +654,26 @@ mod tests {
     fn ctrl(kills: &[u64], exportable: bool) -> Rc<RefCell<Ctrl>> {
         Rc::new(RefCell::new(Ctrl {
             kills: kills.to_vec(),
-            spawns: 0,
             exportable,
+            ..Ctrl::default()
         }))
+    }
+
+    /// Frames driving `in` with `f(cycle)` for cycles `from..to`.
+    fn ramp(from: u64, to: u64, f: fn(u64) -> u64) -> Scenario {
+        Scenario {
+            loads: Vec::new(),
+            frames: (from..to)
+                .map(|at| vec![("in".to_string(), f(at))])
+                .collect(),
+        }
     }
 
     /// Reference run: the same stimulus on a backend that never dies.
     fn clean_run(cycles: u64) -> (u64, Counters) {
         let c = ctrl(&[], true);
         let mut sim = factory(&c)().unwrap();
-        sim.run_driven(cycles, &mut |at, f| f.set("in", at * 7 + 1))
-            .unwrap();
+        sim.run_scenario(&ramp(0, cycles, |at| at * 7 + 1)).unwrap();
         let acc = sim.peek_u64("acc").unwrap().unwrap();
         (acc, sim.counters().unwrap())
     }
@@ -726,8 +689,7 @@ mod tests {
             },
         )
         .unwrap();
-        sup.run_driven(48, &mut |at, f| f.set("in", at * 7 + 1))
-            .unwrap();
+        sup.run_scenario(&ramp(0, 48, |at| at * 7 + 1)).unwrap();
         let (acc, counters) = clean_run(48);
         assert_eq!(sup.peek_u64("acc").unwrap(), Some(acc));
         assert_eq!(sup.counters().unwrap(), counters);
@@ -749,10 +711,8 @@ mod tests {
         assert!(!sup.exportable());
         // Two calls so the first chunk is in the journal when the
         // second one crashes: recovery must replay it from cycle 0.
-        sup.run_driven(16, &mut |at, f| f.set("in", at * 7 + 1))
-            .unwrap();
-        sup.run_driven(16, &mut |at, f| f.set("in", at * 7 + 1))
-            .unwrap();
+        sup.run_scenario(&ramp(0, 16, |at| at * 7 + 1)).unwrap();
+        sup.run_scenario(&ramp(16, 32, |at| at * 7 + 1)).unwrap();
         let (acc, counters) = clean_run(32);
         assert_eq!(sup.peek_u64("acc").unwrap(), Some(acc));
         assert_eq!(sup.counters().unwrap(), counters);
@@ -783,6 +743,25 @@ mod tests {
         assert_eq!(sup.cycle(), 16);
     }
 
+    /// Without state export the journal is never truncated, so replay
+    /// must not expand it: a run of journaled steps reaches the fresh
+    /// backend as one `step` call, not one call (or frame) per cycle.
+    #[test]
+    fn replay_merges_a_run_of_steps_into_one_call() {
+        let c = ctrl(&[45], false);
+        let mut sup = SupervisedSession::new(factory(&c), SuperviseOptions::default()).unwrap();
+        sup.step(20).unwrap();
+        sup.step(20).unwrap();
+        sup.step(10).unwrap();
+        assert_eq!(sup.recoveries(), 1);
+        // 20, 20, the 10 that died at cycle 45, one merged replay of
+        // the journaled 40, then the retried 10.
+        assert_eq!(c.borrow().steps, vec![20, 20, 10, 40, 10]);
+        let stats = sup.last_recovery().unwrap();
+        assert_eq!((stats.replayed_cycles, stats.journal_len), (40, 2));
+        assert_eq!(sup.cycle(), 50);
+    }
+
     #[test]
     fn gives_up_after_max_recoveries() {
         let c = ctrl(&[4, 5, 6], true);
@@ -810,25 +789,20 @@ mod tests {
             },
         )
         .unwrap();
-        sup.run_driven(10, &mut |at, f| f.set("in", at + 1))
-            .unwrap();
+        sup.run_scenario(&ramp(0, 10, |at| at + 1)).unwrap();
         let at10 = sup.peek_u64("acc").unwrap();
         let snap = sup.snapshot().unwrap();
         // Continue across a crash at cycle 25, then roll back.
-        sup.run_driven(20, &mut |at, f| f.set("in", at + 1))
-            .unwrap();
+        sup.run_scenario(&ramp(10, 30, |at| at + 1)).unwrap();
         assert_eq!(sup.recoveries(), 1);
         sup.restore(snap).unwrap();
         assert_eq!(sup.cycle(), 10);
         assert_eq!(sup.peek_u64("acc").unwrap(), at10);
         // And the restored timeline replays identically.
-        sup.run_driven(20, &mut |at, f| f.set("in", at + 1))
-            .unwrap();
+        sup.run_scenario(&ramp(10, 30, |at| at + 1)).unwrap();
         let c2 = ctrl(&[], true);
         let mut clean = factory(&c2)().unwrap();
-        clean
-            .run_driven(30, &mut |at, f| f.set("in", at + 1))
-            .unwrap();
+        clean.run_scenario(&ramp(0, 30, |at| at + 1)).unwrap();
         assert_eq!(sup.peek_u64("acc").unwrap(), clean.peek_u64("acc").unwrap());
     }
 

@@ -1818,7 +1818,7 @@ pub(crate) fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimOptions, Simulator};
+    use crate::{Scenario, Session, SimOptions, Simulator};
 
     const ALU: &str = r#"
 circuit Alu :
@@ -1913,31 +1913,28 @@ circuit Alu :
         }
         assert_eq!(tj.state_prefix(), es.state_prefix(), "state after reset");
         assert_eq!(tj.flag_words(), es.flag_words(), "flags after reset");
-        let ht: Vec<_> = (0..64)
-            .map_while(|l| tj.input_handle(&format!("op_in_{l}")))
-            .collect();
-        let he: Vec<_> = (0..64)
-            .map_while(|l| es.input_handle(&format!("op_in_{l}")))
+        let lanes: Vec<String> = (0..64)
+            .map(|l| format!("op_in_{l}"))
+            .take_while(|name| es.peek(name).is_some())
             .collect();
         for c in 0..22u64 {
-            tj.run_driven(1, |_, frame| {
-                for (l, h) in ht.iter().enumerate() {
+            let frame = lanes
+                .iter()
+                .enumerate()
+                .map(|(l, name)| {
                     let v = c
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                         .rotate_left(l as u32 * 11)
                         ^ 0x5bd1_e995;
-                    frame.set(*h, v);
-                }
-            });
-            es.run_driven(1, |_, frame| {
-                for (l, h) in he.iter().enumerate() {
-                    let v = c
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .rotate_left(l as u32 * 11)
-                        ^ 0x5bd1_e995;
-                    frame.set(*h, v);
-                }
-            });
+                    (name.clone(), v)
+                })
+                .collect();
+            let sc = Scenario {
+                loads: Vec::new(),
+                frames: vec![frame],
+            };
+            tj.run_scenario(&sc).unwrap();
+            es.run_scenario(&sc).unwrap();
             assert_eq!(tj.state_prefix(), es.state_prefix(), "state at cycle {c}");
             assert_eq!(tj.counters(), es.counters(), "counters at cycle {c}");
         }

@@ -7,13 +7,14 @@
 //! pipelined and fenced with `sync`; queries are one round trip each.
 
 use crate::counters::Counters;
-use crate::session::{GsimError, MemoryInfo, Session, SessionFrame, SignalInfo, SnapshotId};
+use crate::scenario::Scenario;
+use crate::session::{GsimError, MemoryInfo, Session, SignalInfo, SnapshotId};
 use crate::wire::{check_upload, Command, Reply, WireError};
 use gsim_value::Value;
 use gsim_wave::{ChgRouter, WaveSignal, WaveSink};
 use std::fmt::Write as _;
 
-/// How many pipelined cycles a driven run lets accumulate before
+/// How many pipelined cycles a scenario run lets accumulate before
 /// fencing with a `sync`: bounds the unread `err` lines a misbehaving
 /// stimulus could queue in the peer's output pipe (well under the
 /// kernel pipe capacity) while keeping the per-cycle wire cost at
@@ -316,41 +317,32 @@ impl<C: WireClient> Session for C {
         self.wire_mut().apply(Command::Step(n))
     }
 
-    #[allow(deprecated)] // the pipelined wire override must shadow the shim
-    fn run_driven(
-        &mut self,
-        n: u64,
-        drive: &mut dyn FnMut(u64, &mut SessionFrame),
-    ) -> Result<(), GsimError> {
+    fn run_scenario(&mut self, scenario: &Scenario) -> Result<(), GsimError> {
+        for (mem, image) in &scenario.loads {
+            self.load_mem(mem, image)?;
+        }
         let w = self.wire_mut();
-        let mut frame = SessionFrame::default();
         let mut hex = String::new();
-        // `w.cycle` is only authoritative at fences, but `drive` needs
-        // the number of the cycle being staged inside a pipelined chunk.
-        let end = w.cycle + n;
-        let mut at = w.cycle;
         // Stimulus errors do not cut the run short: as on the
-        // interpreter backend, the session still completes all `n`
-        // cycles, stimulus stops being driven, and the first error is
+        // interpreter backend, the session still runs every frame's
+        // cycle, stimulus stops being driven, and the first error is
         // reported at the end. (Within the chunk already in flight
         // when the fence surfaces the error, later frames' valid
         // pokes were applied — the pipelining trade-off the trait
         // documents.) Only transport failures abort.
         let mut first_err: Option<GsimError> = None;
-        while at < end {
+        let last = scenario.frames.len();
+        for (k, frame) in scenario.frames.iter().enumerate() {
             if first_err.is_none() {
-                frame.clear();
-                drive(at, &mut frame);
-                for (name, v) in frame.pokes() {
+                for (name, v) in frame {
                     hex.clear();
                     let _ = write!(hex, "{v:x}");
                     w.send_line(Command::Poke { name, hex: &hex })?;
                 }
             }
             w.send_line(Command::Step(1))?;
-            at += 1;
             w.unsynced += 1;
-            if w.unsynced >= SYNC_CHUNK || at == end {
+            if w.unsynced >= SYNC_CHUNK || k + 1 == last {
                 if let Err(e) = w.sync() {
                     if e.is_fatal() {
                         return Err(e);

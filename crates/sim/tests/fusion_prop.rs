@@ -6,7 +6,7 @@
 //! `supernode_evals`) with fusion on versus off — only the executed
 //! instruction count may shrink.
 
-use gsim_sim::{Counters, SimOptions, Simulator};
+use gsim_sim::{Counters, Scenario, Session, SimOptions, Simulator};
 use gsim_value::Value;
 use proptest::prelude::*;
 
@@ -57,22 +57,35 @@ fn run(
     cycles: u64,
 ) -> (Vec<Option<Value>>, Counters) {
     let mut sim = Simulator::compile(graph, opts).unwrap();
-    let handles: Vec<_> = (0..64)
-        .map_while(|l| sim.input_handle(&format!("op_in_{l}")))
+    let lanes: Vec<String> = (0..64)
+        .map(|l| format!("op_in_{l}"))
+        .take_while(|name| sim.peek(name).is_some())
         .collect();
     sim.poke_u64("reset", 1).ok();
     sim.run(2);
     sim.poke_u64("reset", 0).ok();
     sim.reset_counters();
-    sim.run_driven(cycles, |cycle, frame| {
-        for (l, h) in handles.iter().enumerate() {
-            let v = cycle
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .rotate_left(l as u32 * 11)
-                ^ 0x5bd1_e995;
-            frame.set(*h, v);
-        }
-    });
+    let base = sim.cycle();
+    let frames = (base..base + cycles)
+        .map(|cycle| {
+            lanes
+                .iter()
+                .enumerate()
+                .map(|(l, name)| {
+                    let v = cycle
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        .rotate_left(l as u32 * 11)
+                        ^ 0x5bd1_e995;
+                    (name.clone(), v)
+                })
+                .collect()
+        })
+        .collect();
+    sim.run_scenario(&Scenario {
+        loads: Vec::new(),
+        frames,
+    })
+    .unwrap();
     let peeks = outputs.iter().map(|o| sim.peek(o)).collect();
     (peeks, *sim.counters())
 }

@@ -4,7 +4,7 @@
 //! stuCore and the synthetic designs at 1, 2 and 4 threads, with
 //! run-to-run-stable optimization stats.
 
-use gsim::{Counters, SimOptions, Simulator};
+use gsim::{Counters, Scenario, SimOptions, Simulator};
 use gsim_graph::interp::RefInterp;
 use gsim_workloads::programs;
 
@@ -105,28 +105,41 @@ fn synthetic_core_case(name: &str, target: usize) {
 
     let drive_and_snapshot = |opts: &SimOptions| -> (Vec<Option<gsim_value::Value>>, Counters) {
         let mut sim = Simulator::compile(&graph, opts).unwrap();
-        let handles: Vec<_> = (0..64)
-            .map_while(|l| sim.input_handle(&format!("op_in_{l}")))
+        let lanes: Vec<String> = (0..64)
+            .map(|l| format!("op_in_{l}"))
+            .take_while(|name| sim.peek(name).is_some())
             .collect();
         sim.poke_u64("reset", 1).ok();
         sim.run(2);
         sim.poke_u64("reset", 0).ok();
         sim.reset_counters();
-        sim.run_driven(96, |cycle, frame| {
-            for (l, h) in handles.iter().enumerate() {
-                // Deterministic churn: a different op pattern per lane
-                // per cycle, with bubbles mixed in.
-                let v = if cycle % 3 == 0 {
-                    0
-                } else {
-                    (cycle
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .rotate_left(l as u32 * 7))
-                        | 1
-                };
-                frame.set(*h, v);
-            }
-        });
+        let base = sim.cycle();
+        let frames = (base..base + 96)
+            .map(|cycle| {
+                lanes
+                    .iter()
+                    .enumerate()
+                    .map(|(l, name)| {
+                        // Deterministic churn: a different op pattern
+                        // per lane per cycle, with bubbles mixed in.
+                        let v = if cycle % 3 == 0 {
+                            0
+                        } else {
+                            (cycle
+                                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                                .rotate_left(l as u32 * 7))
+                                | 1
+                        };
+                        (name.clone(), v)
+                    })
+                    .collect()
+            })
+            .collect();
+        let scenario = Scenario {
+            loads: Vec::new(),
+            frames,
+        };
+        gsim::Session::run_scenario(&mut sim, &scenario).unwrap();
         let peeks = outputs.iter().map(|o| sim.peek(o)).collect();
         (peeks, *sim.counters())
     };

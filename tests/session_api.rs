@@ -170,24 +170,19 @@ fn error_taxonomy_is_uniform_across_backends() {
             ),
             "{tag}"
         );
-        // Scenario frames surface bad poke names as typed errors too.
+        // Scenario frames surface bad poke names with the class
+        // `poke` reports, on every backend, and still run every
+        // frame's cycle.
+        let before = s.cycle();
         let err = s
-            .run_scenario(&Scenario::new().frame(&[("nonesuch", 1)]))
+            .run_scenario(&Scenario::new().frame(&[("nonesuch", 1)]).hold(1))
             .unwrap_err();
-        assert!(
-            matches!(err, GsimError::UnknownSignal(_) | GsimError::NotAnInput(_)),
-            "{tag}: {err}"
-        );
-        // The deprecated closure shim forwards through the same path
-        // (pinned here until `run_driven` is removed).
-        #[allow(deprecated)]
+        assert_eq!(err, GsimError::UnknownSignal("nonesuch".into()), "{tag}");
         let err = s
-            .run_driven(2, &mut |_, frame| frame.set("nonesuch", 1))
+            .run_scenario(&Scenario::new().frame(&[("halt", 1)]))
             .unwrap_err();
-        assert!(
-            matches!(err, GsimError::UnknownSignal(_) | GsimError::NotAnInput(_)),
-            "{tag}: {err}"
-        );
+        assert_eq!(err, GsimError::NotAnInput("halt".into()), "{tag}");
+        assert_eq!(s.cycle(), before + 3, "{tag}");
     }
 }
 
